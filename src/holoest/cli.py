@@ -1,7 +1,8 @@
 """Command-line driver: correlation matrices, MSE sweeps, validation, subspaces.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 I/O failure,
-3 numerical failure, 4 validation-suite failures.
+3 numerical failure, 4 validation failures (a failed ``validate`` check, or
+Monte Carlo disagreeing with the analytic MSE under ``sweep.validation_mode``).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +19,16 @@ from . import estimation as est
 from .config import REFERENCE_CONFIG, CliConfig, ConfigError, load_config
 from .correlation import (
     QuadratureError,
-    _separation_fill,
+    _even_separation_matrix,
     cluster_matrix,
     iso_entry,
     iso_matrix,
     isotropic_scattering,
     quadrature_entry,
 )
-from .coupling import coupling_model, effective_correlation
+from .experiments import ValidationFailure, build_channel, run_sweep
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
-from .experiments import run_sweep
 
 __all__ = ["main", "entrypoint"]
 
@@ -172,29 +173,16 @@ def render_sweep_svg(result) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _unique_separation_matrix(geometry, entry_fn) -> np.ndarray:
-    """Assemble a full matrix from per-|separation| entries (even symmetry)."""
-    unsigned = np.zeros((geometry.m_y, geometry.m_z), dtype=complex)
-    for a in range(geometry.m_y):
-        for b in range(geometry.m_z):
-            unsigned[a, b] = entry_fn(a * geometry.d_y, b * geometry.d_z)
-    grid = np.zeros((2 * geometry.m_y - 1, 2 * geometry.m_z - 1), dtype=complex)
-    for a in range(-geometry.m_y + 1, geometry.m_y):
-        for b in range(-geometry.m_z + 1, geometry.m_z):
-            grid[a + geometry.m_y - 1, b + geometry.m_z - 1] = unsigned[abs(a), abs(b)]
-    return _separation_fill(geometry, grid)
-
-
 def cmd_correlation(args, config: CliConfig) -> int:
     geometry = config.geometry()
     fmt = config.float_format()
     if args.mode == "iso":
         entries = iso_matrix(geometry, tol=config.get("scenario", "series_tol")).entries
     elif args.mode == "quadrature":
-        entries = _unique_separation_matrix(
+        entries = _even_separation_matrix(
             geometry,
             lambda dy, dz: quadrature_entry(isotropic_scattering, (0.0, dy, dz)).real,
-        ).real
+        )
     else:
         scenario = config.cluster_scenario(args.seed)
         entries = cluster_matrix(geometry, scenario).entries
@@ -220,54 +208,36 @@ def cmd_sweep(args, config: CliConfig) -> int:
     return 0
 
 
-def _prop2_residuals(config: CliConfig, seed_override):
+def _prop2_residuals(channel):
     """Column-space residuals for the three prior choices and the nesting."""
-    geometry = config.geometry()
-    r_iso = iso_matrix(geometry, tol=config.get("scenario", "series_tol"))
-    kind = config.scenario_kind()
-    if kind == "cluster":
-        r_base = cluster_matrix(geometry, config.cluster_scenario(seed_override))
-    else:
-        r_base = r_iso
-    model = coupling_model(
-        geometry,
-        frequency=config.get("coupling", "frequency"),
-        conductivity=config.get("coupling", "conductivity"),
-        use_full_impedance=config.get("coupling", "use_full_impedance"),
-        r_iso=r_iso,
-    )
-    root = model.coupling_sqrt
-    r_mc = effective_correlation(model, r_base)
-    r_hat_aware = effective_correlation(model, r_iso)
+    root = channel.model.coupling_sqrt
+    iso_sqrt = psd_sqrt(channel.r_iso)
+    factors = {
+        est.MMSE_TRUE: root @ psd_sqrt(channel.r_base),
+        est.MMSE_COUPLING_AWARE_ISO: root @ iso_sqrt,
+        est.MMSE_ISO: iso_sqrt,
+    }
     rho = 10.0  # 10 dB; the spaces do not depend on the SNR
-    factor_true = root @ psd_sqrt(r_base)
-    factor_aware = root @ psd_sqrt(r_iso)
-    factor_iso = psd_sqrt(r_iso)
     checks = {}
-    _, checks["scenario1_vs_factor"] = est.verify_column_space(
-        est.mmse_filter(r_mc, rho, est.MMSE_TRUE), factor_true, 1e-8
-    )
-    _, checks["scenario2_vs_factor"] = est.verify_column_space(
-        est.mmse_filter(r_hat_aware, rho, est.MMSE_COUPLING_AWARE_ISO), factor_aware, 1e-8
-    )
-    _, checks["scenario3_vs_factor"] = est.verify_column_space(
-        est.mmse_filter(r_iso, rho, est.MMSE_ISO), factor_iso, 1e-8
-    )
-    basis_1 = orthonormal_column_basis(factor_true)
-    basis_2 = orthonormal_column_basis(factor_aware)
+    for scenario, (kind, factor) in enumerate(factors.items(), start=1):
+        _, checks[f"scenario{scenario}_vs_factor"] = est.verify_column_space(
+            channel.estimator(kind, rho), factor, 1e-8
+        )
+    basis_1 = orthonormal_column_basis(factors[est.MMSE_TRUE])
+    basis_2 = orthonormal_column_basis(factors[est.MMSE_COUPLING_AWARE_ISO])
     _, checks["scenario1_in_scenario2"] = subspace_contained(basis_1, basis_2, 1e-8)
     ranks = {
-        "rank_r_iso": r_iso.numerical_rank(),
-        "rank_r_base": r_base.numerical_rank(),
-        "rank_r_mc": r_mc.numerical_rank(),
+        "rank_r_iso": channel.r_iso.numerical_rank(),
+        "rank_r_base": channel.r_base.numerical_rank(),
+        "rank_r_mc": channel.r_mc.numerical_rank(),
         "rank_factor_true": basis_1.shape[1],
         "rank_factor_aware": basis_2.shape[1],
     }
-    return checks, ranks, (r_iso, r_base, r_mc, model)
+    return checks, ranks
 
 
 def cmd_subspace(args, config: CliConfig) -> int:
-    checks, ranks, _ = _prop2_residuals(config, args.seed)
+    checks, ranks = _prop2_residuals(build_channel(config.sweep_config(args.seed)))
     print("numerical ranks (relative tolerance 1e-8):")
     for name, value in ranks.items():
         print(f"  {name:20s} {value}")
@@ -277,10 +247,9 @@ def cmd_subspace(args, config: CliConfig) -> int:
     return 0
 
 
-def _validate_checks(args, config: CliConfig):
-    geometry = config.geometry()
-    series_tol = config.get("scenario", "series_tol")
-    quad_tol = config.get("scenario", "quad_tol")
+def _validate_checks(sweep_config, channel):
+    geometry = sweep_config.geometry
+    series_tol = sweep_config.series_tol
     checks = []
 
     # closed-form series against the quadrature oracle, every unique separation
@@ -300,7 +269,7 @@ def _validate_checks(args, config: CliConfig):
     )
     checks.append(("zero_separation_value", zero_err < 1e-9, f"max err {zero_err:.3e}"))
 
-    prop2, _, (r_iso, r_base, r_mc, model) = _prop2_residuals(config, args.seed)
+    prop2, _ = _prop2_residuals(channel)
     same_source = max(
         prop2["scenario1_vs_factor"],
         prop2["scenario2_vs_factor"],
@@ -316,38 +285,25 @@ def _validate_checks(args, config: CliConfig):
     )
 
     worst_rel = 0.0
-    r_iso_cov = r_iso
     for snr_db in (-10.0, 0.0, 10.0, 20.0):
         rho = 10.0 ** (snr_db / 10.0)
-        specs = [
-            est.mmse_filter(r_mc, rho, est.MMSE_TRUE),
-            est.mmse_filter(effective_correlation(model, r_iso_cov), rho, est.MMSE_COUPLING_AWARE_ISO),
-            est.mmse_filter(r_iso_cov, rho, est.MMSE_ISO),
-            est.ls_filter(rho, r_mc.size),
-        ]
-        for spec in specs:
-            trace_form = est.analytic_mse(spec, r_mc)
-            expansion = est.mse_eigen_expansion(spec, r_mc)
+        for kind in est.ESTIMATOR_KINDS:
+            spec = channel.estimator(kind, rho)
+            trace_form = est.analytic_mse(spec, channel.r_mc)
+            expansion = est.mse_eigen_expansion(spec, channel.r_mc)
             worst_rel = max(worst_rel, abs(expansion - trace_form) / abs(trace_form))
     checks.append(
         ("prop3_eigen_expansion", worst_rel < 1e-8, f"max rel diff {worst_rel:.3e}")
     )
 
-    sweep_config = config.sweep_config(args.seed)
     trials = max(min(sweep_config.mc_trials, 20_000), 1000)
-    mc_config = type(sweep_config)(
-        geometry=sweep_config.geometry,
-        scenario=sweep_config.scenario,
+    mc_config = replace(
+        sweep_config,
         snr_grid_db=(-10.0, 0.0, 10.0, 20.0),
-        estimators=sweep_config.estimators,
         mc_trials=trials,
-        base_seed=sweep_config.base_seed,
-        coupling=sweep_config.coupling,
-        series_tol=sweep_config.series_tol,
-        quad_tol=sweep_config.quad_tol,
         validation_mode=False,
     )
-    result = run_sweep(mc_config)
+    result = run_sweep(mc_config, channel)
     worst_sigma = 0.0
     for row in result.rows:
         sigma = abs(row.mc_mse - row.analytic_mse) / max(row.mc_stderr, 1e-300)
@@ -363,7 +319,8 @@ def _validate_checks(args, config: CliConfig):
 
 
 def cmd_validate(args, config: CliConfig) -> int:
-    checks = _validate_checks(args, config)
+    sweep_config = config.sweep_config(args.seed)
+    checks = _validate_checks(sweep_config, build_channel(sweep_config))
     failures = [name for name, ok, _ in checks if not ok]
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
@@ -427,6 +384,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValidationFailure as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return 4
     except (QuadratureError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

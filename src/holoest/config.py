@@ -39,7 +39,6 @@ scenario.kind = isotropic
 scenario.file =
 scenario.seed =
 scenario.series_tol = 1e-12       # truncation of the isotropic series
-scenario.quad_tol = 1e-9          # absolute quadrature target
 
 # SNR sweep (grid as start:step:stop inclusive, or a comma list, in dB)
 sweep.snr_db = -10:2:24
@@ -111,7 +110,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "file": (str, ""),
         "seed": (int, None),
         "series_tol": (float, 1e-12),
-        "quad_tol": (float, 1e-9),
     },
     "sweep": {
         "snr_db": (_parse_snr_grid, tuple(range(-10, 25, 2))),
@@ -193,7 +191,6 @@ class CliConfig:
             base_seed=int(base_seed),
             coupling=self.coupling(),
             series_tol=self.get("scenario", "series_tol"),
-            quad_tol=self.get("scenario", "quad_tol"),
             validation_mode=self.get("sweep", "validation_mode"),
         )
 

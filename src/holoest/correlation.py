@@ -19,8 +19,6 @@ the integral of ``f * exp(j k^T delta_r)``.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,7 +26,12 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import UpaGeometry
-from .linalg import DEFAULT_RANK_TOL, Eigendecomposition, hermitian_eig
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    Eigendecomposition,
+    _require_hermitian,
+    hermitian_eig,
+)
 from .special import DIPOLE_DIRECTIVITY, alpha_coefficient
 
 __all__ = [
@@ -75,23 +78,6 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("HOLOEST_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_indexed(func, items):
-    """Map preserving order, threaded when HOLOEST_THREADS asks for it."""
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
-
-
 @dataclass(eq=False)
 class CovarianceMatrix:
     """Hermitian PSD matrix with a lazily cached eigendecomposition."""
@@ -106,10 +92,7 @@ class CovarianceMatrix:
         arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("covariance entries must form a square matrix")
-        scale = max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
-        if arr.size and float(np.abs(arr - arr.conj().T).max()) > 1e-12 * scale:
-            raise ValueError("covariance entries are not Hermitian")
-        self.entries = 0.5 * (arr + arr.conj().T)
+        self.entries = _require_hermitian(arr)
         self._eig: Eigendecomposition | None = None
 
     @property
@@ -137,15 +120,10 @@ def psd_clamp(
 ) -> CovarianceMatrix:
     """Zero out eigenvalues below rel_tol * lambda_1 and rewrap as PSD.
 
-    Accepts an ndarray or CovarianceMatrix; input must be Hermitian within
-    1e-10 (relative to its largest entry).
+    Accepts an ndarray or CovarianceMatrix; input must be square and
+    Hermitian within the tolerance of ``linalg._require_hermitian``.
     """
     entries = np.asarray(getattr(a, "entries", a))
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("psd_clamp expects a square matrix")
-    scale = max(1.0, float(np.abs(entries).max()) if entries.size else 0.0)
-    if entries.size and float(np.abs(entries - entries.conj().T).max()) > 1e-10 * scale:
-        raise ValueError("psd_clamp expects a Hermitian matrix")
     eig = hermitian_eig(entries)
     values = eig.values.copy()
     top = max(values[0], 0.0) if values.size else 0.0
@@ -183,16 +161,10 @@ def _iso_series(dy_norm: float, dz_norm: float, tol: float) -> float:
     return total
 
 
-def _iso_entry_impl(
-    dy_norm: float, dz_norm: float, tol: float, quad_tol: float = 1e-9
-) -> tuple[float, bool]:
+def _iso_entry_impl(dy_norm: float, dz_norm: float, tol: float) -> tuple[float, bool]:
     if math.hypot(dy_norm, dz_norm) <= SERIES_RADIUS:
         return _iso_series(abs(dy_norm), abs(dz_norm), tol), False
-    value = quadrature_entry(
-        isotropic_scattering,
-        (0.0, dy_norm, dz_norm),
-        QuadratureOptions(abs_tol=quad_tol),
-    )
+    value = quadrature_entry(isotropic_scattering, (0.0, dy_norm, dz_norm))
     return float(value.real), True
 
 
@@ -218,28 +190,36 @@ def _separation_fill(geometry: UpaGeometry, grid: np.ndarray) -> np.ndarray:
     return grid[idy, idz]
 
 
+def _even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
+    """Full matrix of entries that depend on |dy|, |dz| only.
+
+    Calls ``entry(dy, dz)`` once per unsigned offset and mirrors the values
+    onto the signed-separation grid.
+    """
+    unsigned = np.array(
+        [
+            [entry(a * geometry.d_y, b * geometry.d_z) for b in range(geometry.m_z)]
+            for a in range(geometry.m_y)
+        ]
+    )
+    iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
+    iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
+    return _separation_fill(geometry, unsigned[np.ix_(iy, iz)])
+
+
 def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
     """Isotropic spatial correlation matrix of the array (real symmetric)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pairs = [
-        (a, b) for a in range(geometry.m_y) for b in range(geometry.m_z)
-    ]
-    values = _map_indexed(
-        lambda ab: _iso_entry_impl(ab[0] * geometry.d_y, ab[1] * geometry.d_z, tol),
-        pairs,
-    )
-    unsigned = np.zeros((geometry.m_y, geometry.m_z))
     fallbacks = 0
-    for (a, b), (value, used_quad) in zip(pairs, values):
-        unsigned[a, b] = value
-        fallbacks += bool(used_quad)
-    # Entries depend on |dy|, |dz| only: mirror onto the signed grid.
-    grid = np.zeros((2 * geometry.m_y - 1, 2 * geometry.m_z - 1))
-    for a in range(-geometry.m_y + 1, geometry.m_y):
-        for b in range(-geometry.m_z + 1, geometry.m_z):
-            grid[a + geometry.m_y - 1, b + geometry.m_z - 1] = unsigned[abs(a), abs(b)]
-    entries = _separation_fill(geometry, grid)
+
+    def entry(dy: float, dz: float) -> float:
+        nonlocal fallbacks
+        value, used_quad = _iso_entry_impl(dy, dz, tol)
+        fallbacks += used_quad
+        return value
+
+    entries = _even_separation_matrix(geometry, entry)
     meta = {"series_tol": tol, "quadrature_fallback_pairs": fallbacks}
     return psd_clamp(entries, kind="isotropic", meta=meta)
 
@@ -596,16 +576,14 @@ def cluster_matrix(
     dy_half = np.array([a * geometry.d_y for a, _ in half])
     dz_half = np.array([b * geometry.d_z for _, b in half])
 
-    def one_cluster(n: int):
-        base = _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_BASE)
-        refined = _cluster_separation_values(
-            scenario, n, dy_half, dz_half, _GL_ORDER_REFINED
-        )
-        return base, refined
-
-    results = _map_indexed(one_cluster, list(range(len(scenario.clusters))))
-    vals_base = sum(r[0] for r in results)
-    vals_refined = sum(r[1] for r in results)
+    vals_base = sum(
+        _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_BASE)
+        for n in range(len(scenario.clusters))
+    )
+    vals_refined = sum(
+        _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_REFINED)
+        for n in range(len(scenario.clusters))
+    )
     err = float(np.abs(vals_base - vals_refined).max())
     grid_refined = np.zeros((2 * ny - 1, 2 * nz - 1), dtype=complex)
     for (a, b), value in zip(half, vals_refined):

@@ -343,7 +343,8 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
     """Correlation of the coupled channel: C^(1/2) R C^(1/2).
 
     Assembled as F F^H from the factor F = C^(1/2) R^(1/2) via its singular
-    value decomposition.  This is the same matrix as the triple product but
+    value decomposition (LAPACK gesdd, retried with gesvd when gesdd does not
+    converge).  This is the same matrix as the triple product but
     keeps the weak eigenvectors consistent with the factor's column space,
     which the subspace analysis compares against.
     """
@@ -353,7 +354,13 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
             f"dimension mismatch: coupling is {root.shape[0]}, correlation is {r.size}"
         )
     factor = root @ psd_sqrt(r)
-    basis, singulars, _ = np.linalg.svd(factor)
+    try:
+        basis, singulars, _ = np.linalg.svd(factor)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge where the slower QR-iteration driver does not
+        from scipy.linalg import svd
+
+        basis, singulars, _ = svd(factor, lapack_driver="gesvd")
     basis = _normalize_phases(basis)
     values = singulars**2
     values[values < 1e-10 * (values[0] if values.size else 0.0)] = 0.0

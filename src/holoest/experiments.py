@@ -1,16 +1,18 @@
 """Scenario assembly and SNR sweeps comparing the estimator family.
 
-A sweep builds the base spatial correlation (isotropic closed form or
-clustered quadrature), applies the coupling model, and evaluates every
-requested estimator at every SNR point, analytically and optionally by Monte
-Carlo.  Trials draw from per-trial generator streams keyed by (base seed, SNR
-index, trial index), so results do not depend on execution order or batching.
+``build_channel`` is the one assembly path of the channel model: the base
+spatial correlation (isotropic closed form or clustered quadrature), the
+coupling model, and the coupled correlations every estimator prior comes from.
+A sweep evaluates every requested estimator at every SNR point on that model,
+analytically and optionally by Monte Carlo.  Trials draw from per-trial
+generator streams keyed by (base seed, SNR index, trial index), so results do
+not depend on execution order or batching.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .correlation import (
     cluster_matrix,
     iso_matrix,
 )
-from .coupling import coupling_model, effective_correlation
+from .coupling import CouplingModel, coupling_model, effective_correlation
 from .geometry import UpaGeometry
 from .linalg import psd_sqrt
 
@@ -33,7 +35,10 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
+    "Channel",
+    "ValidationFailure",
     "default_cluster_scenario",
+    "build_channel",
     "run_sweep",
     "gap_report",
 ]
@@ -70,7 +75,6 @@ class SweepConfig:
     base_seed: int = DEFAULT_BASE_SEED
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
     series_tol: float = 1e-12
-    quad_tol: float = 1e-9
     validation_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -85,6 +89,79 @@ class SweepConfig:
         for kind in self.estimators:
             if kind not in est.ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+class ValidationFailure(RuntimeError):
+    """A validation-mode sweep found Monte Carlo disagreeing with the analytic MSE."""
+
+
+@dataclass(frozen=True, eq=False)
+class Channel:
+    """The coupled channel model of one configuration and the estimator priors.
+
+    ``r_mc = C^(1/2) R_base C^(1/2)`` is the true channel correlation;
+    ``r_hat_aware`` is the coupling-aware isotropic prior ``C^(1/2) R_iso
+    C^(1/2)``, which is ``r_mc`` itself when the scenario is isotropic.
+    ``source`` records the configuration fields the model was built from.
+    """
+
+    r_iso: CovarianceMatrix
+    r_base: CovarianceMatrix
+    model: CouplingModel
+    r_mc: CovarianceMatrix
+    r_hat_aware: CovarianceMatrix
+    scenario: str
+    source: tuple
+
+    def prior(self, kind: str) -> CovarianceMatrix | None:
+        """Prior covariance the estimator kind filters with; None for LS."""
+        return {
+            est.MMSE_TRUE: self.r_mc,
+            est.MMSE_COUPLING_AWARE_ISO: self.r_hat_aware,
+            est.MMSE_ISO: self.r_iso,
+        }.get(kind)
+
+    def estimator(self, kind: str, rho: float) -> est.EstimatorSpec:
+        prior = self.prior(kind)
+        if prior is None:
+            return est.ls_filter(rho, self.r_mc.size)
+        return est.mmse_filter(prior, rho, kind)
+
+
+def _channel_source(config: SweepConfig) -> tuple:
+    return (config.geometry, config.scenario, config.coupling, config.series_tol)
+
+
+def build_channel(config: SweepConfig) -> Channel:
+    """Assemble R_iso, R_base, the coupling model and the coupled correlations."""
+    geometry = config.geometry
+    r_iso = iso_matrix(geometry, tol=config.series_tol)
+    if isinstance(config.scenario, ClusterScenario):
+        r_base = cluster_matrix(geometry, config.scenario)
+        scenario_name = "cluster"
+    else:
+        r_base = r_iso
+        scenario_name = "isotropic"
+    model = coupling_model(
+        geometry,
+        frequency=config.coupling.frequency,
+        conductivity=config.coupling.conductivity,
+        use_full_impedance=config.coupling.use_full_impedance,
+        r_iso=r_iso,
+    )
+    r_mc = effective_correlation(model, r_base)
+    r_hat_aware = (
+        r_mc if scenario_name == "isotropic" else effective_correlation(model, r_iso)
+    )
+    return Channel(
+        r_iso=r_iso,
+        r_base=r_base,
+        model=model,
+        r_mc=r_mc,
+        r_hat_aware=r_hat_aware,
+        scenario=scenario_name,
+        source=_channel_source(config),
+    )
 
 
 @dataclass(frozen=True)
@@ -197,102 +274,71 @@ def _mc_cell(
     return out
 
 
-def _build_filters(
-    kinds,
-    rho: float,
-    r_mc: CovarianceMatrix,
-    r_hat_aware: CovarianceMatrix,
-    r_iso: CovarianceMatrix,
-) -> dict[str, np.ndarray]:
-    specs = {}
-    for kind in kinds:
-        if kind == est.LS:
-            specs[kind] = est.ls_filter(rho, r_mc.size)
-        elif kind == est.MMSE_TRUE:
-            specs[kind] = est.mmse_filter(r_mc, rho, kind)
-        elif kind == est.MMSE_COUPLING_AWARE_ISO:
-            specs[kind] = est.mmse_filter(r_hat_aware, rho, kind)
-        elif kind == est.MMSE_ISO:
-            specs[kind] = est.mmse_filter(r_iso, rho, kind)
-    return specs
+def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResult:
+    """Run the analytic (and optionally Monte Carlo) MSE sweep.
 
-
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run the analytic (and optionally Monte Carlo) MSE sweep."""
+    ``channel`` reuses a model from ``build_channel``; it must have been built
+    from the same geometry, scenario, coupling and series tolerance.
+    """
+    if channel is None:
+        channel = build_channel(config)
+    elif channel.source != _channel_source(config):
+        raise ValueError("channel was built from a different configuration")
     geometry = config.geometry
-    r_iso = iso_matrix(geometry, tol=config.series_tol)
-    if isinstance(config.scenario, ClusterScenario):
-        r_base = cluster_matrix(geometry, config.scenario)
-        scenario_name = "cluster"
-    else:
-        r_base = r_iso
-        scenario_name = "isotropic"
-    model = coupling_model(
-        geometry,
-        frequency=config.coupling.frequency,
-        conductivity=config.coupling.conductivity,
-        use_full_impedance=config.coupling.use_full_impedance,
-        r_iso=r_iso,
-    )
-    r_mc = effective_correlation(model, r_base)
-    r_hat_aware = (
-        r_mc if scenario_name == "isotropic" else effective_correlation(model, r_iso)
-    )
-    r_mc_sqrt = psd_sqrt(r_mc)
+    r_mc = channel.r_mc
     trace_mc = r_mc.trace()
+    r_mc_sqrt = psd_sqrt(r_mc) if config.mc_trials > 0 else None
 
-    rows: list[SweepRow] = []
-    for kind in config.estimators:
-        for snr_index, snr_db in enumerate(config.snr_grid_db):
-            rho = 10.0 ** (snr_db / 10.0)
-            spec = _build_filters([kind], rho, r_mc, r_hat_aware, r_iso)[kind]
-            mse = est.analytic_mse(spec, r_mc)
-            rows.append(
-                SweepRow(
-                    estimator=kind,
-                    snr_db=float(snr_db),
-                    analytic_mse=mse,
-                    analytic_nmse_db=10.0 * math.log10(mse / trace_mc),
-                )
-            )
-
-    if config.mc_trials > 0:
-        mc_values: dict[tuple[str, float], tuple[float, float]] = {}
-        for snr_index, snr_db in enumerate(config.snr_grid_db):
-            rho = 10.0 ** (snr_db / 10.0)
-            specs = _build_filters(
-                config.estimators, rho, r_mc, r_hat_aware, r_iso
-            )
-            filters = {kind: spec.filter for kind, spec in specs.items()}
+    analytic: dict[tuple[str, float], float] = {}
+    mc: dict[tuple[str, float], tuple[float, float]] = {}
+    for snr_index, snr_db in enumerate(config.snr_grid_db):
+        rho = 10.0 ** (snr_db / 10.0)
+        filters = {}
+        for kind in config.estimators:
+            spec = channel.estimator(kind, rho)
+            analytic[(kind, float(snr_db))] = est.analytic_mse(spec, r_mc)
+            if r_mc_sqrt is not None:
+                filters[kind] = spec.filter
+        if filters:
             cell = _mc_cell(
                 filters, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
             )
             for kind, stats in cell.items():
-                mc_values[(kind, float(snr_db))] = stats
-        rows = [
-            replace(
-                row,
-                mc_mse=mc_values[(row.estimator, row.snr_db)][0],
-                mc_stderr=mc_values[(row.estimator, row.snr_db)][1],
+                mc[(kind, float(snr_db))] = stats
+
+    rows: list[SweepRow] = []
+    for kind in config.estimators:
+        for snr_db in config.snr_grid_db:
+            key = (kind, float(snr_db))
+            mc_mse, mc_stderr = mc.get(key, (None, None))
+            rows.append(
+                SweepRow(
+                    estimator=kind,
+                    snr_db=float(snr_db),
+                    analytic_mse=analytic[key],
+                    analytic_nmse_db=10.0 * math.log10(analytic[key] / trace_mc),
+                    mc_mse=mc_mse,
+                    mc_stderr=mc_stderr,
+                )
             )
-            for row in rows
-        ]
-        if config.validation_mode:
-            for row in rows:
-                bound = 5.0 * max(row.mc_stderr, 1e-300)
-                if abs(row.mc_mse - row.analytic_mse) > bound:
-                    raise AssertionError(
-                        f"Monte Carlo mean {row.mc_mse:.6e} deviates from "
-                        f"analytic {row.analytic_mse:.6e} by more than 5 SE "
-                        f"({row.estimator} at {row.snr_db} dB)"
-                    )
+    if config.validation_mode:
+        for row in rows:
+            if row.mc_mse is None:
+                continue
+            bound = 5.0 * max(row.mc_stderr, 1e-300)
+            if abs(row.mc_mse - row.analytic_mse) > bound:
+                raise ValidationFailure(
+                    f"Monte Carlo mean {row.mc_mse:.6e} deviates from "
+                    f"analytic {row.analytic_mse:.6e} by more than 5 SE "
+                    f"({row.estimator} at {row.snr_db} dB)"
+                )
 
     metadata = {
-        "scenario": scenario_name,
+        "scenario": channel.scenario,
         "trace_r_mc": trace_mc,
-        "trace_r_base": r_base.trace(),
-        "rank_r_iso": r_iso.numerical_rank(),
-        "rank_r_base": r_base.numerical_rank(),
+        "trace_r_base": channel.r_base.trace(),
+        "rank_r_iso": channel.r_iso.numerical_rank(),
+        "rank_r_base": channel.r_base.numerical_rank(),
         "rank_r_mc": r_mc.numerical_rank(),
         "base_seed": config.base_seed,
         "mc_trials": config.mc_trials,
@@ -311,7 +357,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             "frequency": config.coupling.frequency,
             "conductivity": config.coupling.conductivity,
             "use_full_impedance": config.coupling.use_full_impedance,
-            "r_dissipation": model.r_dissipation,
+            "r_dissipation": channel.model.r_dissipation,
         },
     }
     return SweepResult(rows=rows, metadata=metadata)

@@ -23,7 +23,9 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-_HERMITIAN_TOL = 1e-10
+# The one Hermitian-input tolerance of the package, relative to the largest
+# entry (or 1, if larger).
+_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,10 @@ def _as_square(a) -> np.ndarray:
     return arr
 
 
-def _require_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
+def _require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of ``a``; raises when ``a`` is not Hermitian within tolerance."""
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and float(np.abs(a - a.conj().T).max()) > tol * scale:
+    if a.size and float(np.abs(a - a.conj().T).max()) > _HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return 0.5 * (a + a.conj().T)
 

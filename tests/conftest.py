@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from holoest import experiments
 from holoest.coupling import GeometryOverlapWarning, coupling_model
 from holoest.correlation import cluster_matrix, iso_matrix
 from holoest.experiments import DEFAULT_BASE_SEED, default_cluster_scenario
@@ -62,3 +63,15 @@ def cluster_scenario_20():
 @pytest.fixture(scope="session")
 def r_clu_10x10(geom_10x10, cluster_scenario_20):
     return cluster_matrix(geom_10x10, cluster_scenario_20)
+
+
+@pytest.fixture
+def biased_mc_cell(monkeypatch):
+    """Shift every Monte Carlo mean 100 standard errors off the analytic MSE."""
+    original = experiments._mc_cell
+
+    def biased(*args, **kwargs):
+        cell = original(*args, **kwargs)
+        return {kind: (mean + 100.0 * se, se) for kind, (mean, se) in cell.items()}
+
+    monkeypatch.setattr(experiments, "_mc_cell", biased)

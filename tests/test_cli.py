@@ -1,10 +1,12 @@
 """CLI behavior: config parsing, CSV/SVG emission, exit codes."""
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from holoest import correlation, coupling
 from holoest.cli import main
 from holoest.config import ConfigError, load_config, parse_config
 
@@ -39,12 +41,39 @@ def single_cfg(tmp_path):
     return str(path)
 
 
+def count_calls(monkeypatch, func):
+    """Wrap ``func`` wherever a holoest module binds it; return the call log."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "holoest":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
 class TestConfigParsing:
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ConfigError) as err:
             parse_config("geometry.m_y = 4\ngeometry.bogus = 1\n", source="test.cfg")
         assert "test.cfg:2" in str(err.value)
         assert "bogus" in str(err.value)
+
+    def test_removed_quad_tol_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(
+                "scenario.series_tol = 1e-12\nscenario.quad_tol = 1e-9\n", source="t.cfg"
+            )
+        assert "t.cfg:2" in str(err.value)
+        assert "quad_tol" in str(err.value)
+        path = tmp_path / "old.cfg"
+        path.write_text("scenario.quad_tol = 1e-9\n", encoding="utf-8")
+        assert main(["--config", str(path), "--quiet", "validate"]) == 1
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -166,6 +195,16 @@ class TestSweepCommand:
             assert float(fields[2]) == pytest.approx(4.0 / rho, rel=1e-12)
             assert fields[4] != ""  # Monte Carlo columns populated
 
+    def test_validation_mode_failure_exits_4(self, tmp_path, biased_mc_cell, capsys):
+        path = tmp_path / "strict.cfg"
+        path.write_text(SMALL + "sweep.validation_mode = true\n", encoding="utf-8")
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "5 SE" in err
+
     def test_plot_emits_valid_svg(self, small_cfg, tmp_path):
         out_dir = tmp_path / "plotted"
         code = main(
@@ -188,6 +227,13 @@ class TestValidateCommand:
         assert code == 0
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_channel_built_once(self, small_cfg, monkeypatch):
+        iso_calls = count_calls(monkeypatch, correlation.iso_matrix)
+        coupled_calls = count_calls(monkeypatch, coupling.effective_correlation)
+        assert main(["--config", small_cfg, "--quiet", "validate"]) == 0
+        assert len(iso_calls) == 1
+        assert len(coupled_calls) == 1
 
     def test_corrupted_series_tolerance_fails(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

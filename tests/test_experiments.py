@@ -12,6 +12,8 @@ from holoest.coupling import GeometryOverlapWarning
 from holoest.experiments import (
     CouplingConfig,
     SweepConfig,
+    ValidationFailure,
+    build_channel,
     default_cluster_scenario,
     gap_report,
     run_sweep,
@@ -146,6 +148,51 @@ class TestRunSweepMonteCarlo:
             a.analytic_mse == b.analytic_mse
             for a, b in zip(other.rows, mc_result.rows)
         )
+
+
+class TestValidationMode:
+    def test_biased_monte_carlo_raises_typed_error(self, geom_4x4, biased_mc_cell):
+        config = SweepConfig(
+            geometry=geom_4x4,
+            snr_grid_db=(0.0, 10.0),
+            mc_trials=200,
+            validation_mode=True,
+        )
+        with pytest.raises(ValidationFailure) as err:
+            run_sweep(config)
+        assert not isinstance(err.value, AssertionError)
+        assert "5 SE" in str(err.value)
+
+
+class TestBuildChannel:
+    def test_prebuilt_channel_gives_equal_rows(self, geom_4x4):
+        config = SweepConfig(geometry=geom_4x4, snr_grid_db=(-10.0, 10.0), mc_trials=200)
+        assert run_sweep(config, build_channel(config)).rows == run_sweep(config).rows
+
+    def test_priors_per_estimator(self, geom_4x4):
+        channel = build_channel(SweepConfig(geometry=geom_4x4, mc_trials=0))
+        assert channel.scenario == "isotropic"
+        assert channel.r_base is channel.r_iso
+        assert channel.r_hat_aware is channel.r_mc
+        assert channel.prior(est.MMSE_TRUE) is channel.r_mc
+        assert channel.prior(est.MMSE_COUPLING_AWARE_ISO) is channel.r_hat_aware
+        assert channel.prior(est.MMSE_ISO) is channel.r_iso
+        assert channel.prior(est.LS) is None
+
+    def test_cluster_aware_prior_is_coupled_isotropic(self, geom_2x2):
+        config = SweepConfig(
+            geometry=geom_2x2, scenario=default_cluster_scenario(3), mc_trials=0
+        )
+        channel = build_channel(config)
+        assert channel.scenario == "cluster"
+        assert channel.r_hat_aware is not channel.r_mc
+        assert channel.r_hat_aware.meta["source_kind"] == "isotropic"
+        assert channel.r_mc.meta["source_kind"] == "cluster"
+
+    def test_channel_from_other_config_rejected(self, geom_4x4, geom_4x4_quarter):
+        channel = build_channel(SweepConfig(geometry=geom_4x4_quarter, mc_trials=0))
+        with pytest.raises(ValueError):
+            run_sweep(SweepConfig(geometry=geom_4x4, mc_trials=0), channel)
 
 
 class TestGapReport:

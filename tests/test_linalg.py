@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from holoest import estimation as est
+from holoest.correlation import CovarianceMatrix, psd_clamp
 from holoest.linalg import (
+    _require_hermitian,
     hermitian_eig,
     orthonormal_column_basis,
     principal_subspace,
@@ -129,3 +132,25 @@ def test_orthonormal_column_basis_spans_factor():
     assert basis.shape == (6, 3)
     leak = factor - basis @ (basis.conj().T @ factor)
     assert np.abs(leak).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        CovarianceMatrix,
+        psd_clamp,
+        _require_hermitian,
+        lambda a: est.mse_eigen_expansion(
+            est.EstimatorSpec(kind=est.MMSE_TRUE, filter=a, rho=1.0),
+            CovarianceMatrix(np.eye(a.shape[0])),
+        ),
+    ],
+    ids=["CovarianceMatrix", "psd_clamp", "_require_hermitian", "mse_eigen_expansion"],
+)
+def test_every_hermitian_check_rejects_small_asymmetry(check):
+    a = random_hermitian(4, 3, psd=True)
+    a = a / np.abs(a).max()
+    a[0, 1] += 1e-11
+    with pytest.raises(ValueError):
+        check(a)
+    check(0.5 * (a + a.conj().T))  # the Hermitian part passes
