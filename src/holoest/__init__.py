@@ -38,16 +38,12 @@ from .estimation import (
     MMSE_ISO,
     MMSE_TRUE,
     EstimatorSpec,
-    PilotObservation,
     analytic_mse,
     error_covariance,
-    estimate,
     ls_filter,
     mmse_filter,
     mse_eigen_expansion,
     mse_mismatched_beta,
-    observe_pilot,
-    sample_channel,
     verify_column_space,
 )
 from .experiments import (

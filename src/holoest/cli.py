@@ -18,8 +18,8 @@ import numpy as np
 from . import estimation as est
 from .config import REFERENCE_CONFIG, CliConfig, ConfigError, load_config
 from .correlation import (
+    SERIES_RADIUS,
     QuadratureError,
-    _even_separation_matrix,
     cluster_matrix,
     iso_entry,
     iso_matrix,
@@ -27,6 +27,7 @@ from .correlation import (
     quadrature_entry,
 )
 from .experiments import ValidationFailure, build_channel, run_sweep
+from .geometry import even_separation_matrix
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
 
@@ -179,7 +180,7 @@ def cmd_correlation(args, config: CliConfig) -> int:
     if args.mode == "iso":
         entries = iso_matrix(geometry, tol=config.get("scenario", "series_tol")).entries
     elif args.mode == "quadrature":
-        entries = _even_separation_matrix(
+        entries = even_separation_matrix(
             geometry,
             lambda dy, dz: quadrature_entry(isotropic_scattering, (0.0, dy, dz)).real,
         )
@@ -252,11 +253,14 @@ def _validate_checks(sweep_config, channel):
     series_tol = sweep_config.series_tol
     checks = []
 
-    # closed-form series against the quadrature oracle, every unique separation
+    # closed-form series against the quadrature oracle at every unique
+    # separation the series covers; beyond SERIES_RADIUS iso_entry is the oracle
     worst = 0.0
     for a in range(geometry.m_y):
         for b in range(geometry.m_z):
             dy, dz = a * geometry.d_y, b * geometry.d_z
+            if math.hypot(dy, dz) > SERIES_RADIUS:
+                continue
             series = iso_entry(dy, dz, tol=series_tol)
             oracle = quadrature_entry(isotropic_scattering, (0.0, dy, dz)).real
             worst = max(worst, abs(series - oracle))

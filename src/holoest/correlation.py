@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .geometry import UpaGeometry
+from .geometry import UpaGeometry, even_separation_matrix, separation_fill
 from .linalg import (
     DEFAULT_RANK_TOL,
     Eigendecomposition,
@@ -68,6 +68,8 @@ _DEFAULT_RECT = ((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI))
 _TAIL_LOG = 41.45
 _GL_ORDER_BASE = 16
 _GL_ORDER_REFINED = 32
+# cluster_matrix raises when its base and doubled-order passes differ by more
+_CLUSTER_ERROR_LIMIT = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -180,33 +182,6 @@ def iso_entry(dy_norm: float, dz_norm: float, tol: float = 1e-12) -> float:
     return _iso_entry_impl(dy_norm, dz_norm, tol)[0]
 
 
-def _separation_fill(geometry: UpaGeometry, grid: np.ndarray) -> np.ndarray:
-    """Expand a (2My-1, 2Mz-1) signed-separation grid to the full matrix."""
-    m = np.arange(geometry.size)
-    ry = m // geometry.m_z
-    rz = m % geometry.m_z
-    idy = ry[:, None] - ry[None, :] + geometry.m_y - 1
-    idz = rz[:, None] - rz[None, :] + geometry.m_z - 1
-    return grid[idy, idz]
-
-
-def _even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
-    """Full matrix of entries that depend on |dy|, |dz| only.
-
-    Calls ``entry(dy, dz)`` once per unsigned offset and mirrors the values
-    onto the signed-separation grid.
-    """
-    unsigned = np.array(
-        [
-            [entry(a * geometry.d_y, b * geometry.d_z) for b in range(geometry.m_z)]
-            for a in range(geometry.m_y)
-        ]
-    )
-    iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
-    iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
-    return _separation_fill(geometry, unsigned[np.ix_(iy, iz)])
-
-
 def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
     """Isotropic spatial correlation matrix of the array (real symmetric)."""
     if tol <= 0:
@@ -219,7 +194,7 @@ def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
         fallbacks += used_quad
         return value
 
-    entries = _even_separation_matrix(geometry, entry)
+    entries = even_separation_matrix(geometry, entry)
     meta = {"series_tol": tol, "quadrature_fallback_pairs": fallbacks}
     return psd_clamp(entries, kind="isotropic", meta=meta)
 
@@ -556,25 +531,22 @@ def _cluster_separation_values(
     return scale * values
 
 
-def cluster_matrix(
-    geometry: UpaGeometry,
-    scenario: ClusterScenario,
-    opts: QuadratureOptions | None = None,
-) -> CovarianceMatrix:
+def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> CovarianceMatrix:
     """Non-isotropic spatial correlation: per-cluster integrals, summed.
 
     Each cluster is integrated on its own panel-refined Gauss-Legendre grid;
     a doubled-order pass provides the error estimate.  Entries depend only on
     element separations, so the integrals run once per unique offset.
     """
-    opts = opts or QuadratureOptions()
     ny, nz = geometry.m_y, geometry.m_z
-    steps_y = np.arange(-ny + 1, ny)
-    steps_z = np.arange(-nz + 1, nz)
+    steps_y, steps_z = np.meshgrid(
+        np.arange(-ny + 1, ny), np.arange(-nz + 1, nz), indexing="ij"
+    )
     # conj(value(-dy, -dz)) = value(dy, dz) exactly, so integrate half the grid
-    half = [(a, b) for a in steps_y for b in steps_z if a > 0 or (a == 0 and b >= 0)]
-    dy_half = np.array([a * geometry.d_y for a, _ in half])
-    dz_half = np.array([b * geometry.d_z for _, b in half])
+    half = (steps_y > 0) | ((steps_y == 0) & (steps_z >= 0))
+    a, b = steps_y[half], steps_z[half]
+    dy_half = a * geometry.d_y
+    dz_half = b * geometry.d_z
 
     vals_base = sum(
         _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_BASE)
@@ -585,17 +557,17 @@ def cluster_matrix(
         for n in range(len(scenario.clusters))
     )
     err = float(np.abs(vals_base - vals_refined).max())
-    grid_refined = np.zeros((2 * ny - 1, 2 * nz - 1), dtype=complex)
-    for (a, b), value in zip(half, vals_refined):
-        grid_refined[a + ny - 1, b + nz - 1] = value
-        grid_refined[-a + ny - 1, -b + nz - 1] = np.conj(value)
-    if err > 10.0 * opts.abs_tol:
+    if err > _CLUSTER_ERROR_LIMIT:
         raise QuadratureError(
-            f"cluster quadrature error estimate {err:.3e} exceeds 10x target "
-            f"{opts.abs_tol:.3e}",
+            f"cluster quadrature error estimate {err:.3e} exceeds "
+            f"{_CLUSTER_ERROR_LIMIT:.3e}",
             estimate=err,
         )
-    entries = _separation_fill(geometry, grid_refined)
+    grid = np.zeros((2 * ny - 1, 2 * nz - 1), dtype=complex)
+    grid[a + ny - 1, b + nz - 1] = vals_refined
+    # the mirror goes second, so the (0, 0) cell holds conj(value)
+    grid[-a + ny - 1, -b + nz - 1] = np.conj(vals_refined)
+    entries = separation_fill(geometry, grid)
     meta = {
         "quad_error_estimate": err,
         "clusters": len(scenario.clusters),

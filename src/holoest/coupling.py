@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .correlation import CovarianceMatrix
-from .geometry import UpaGeometry
+from .geometry import UpaGeometry, even_separation_matrix
 from .linalg import Eigendecomposition, _normalize_phases, hermitian_eig, psd_sqrt
 from .special import EULER_GAMMA, cos_integral, sin_integral
 
@@ -180,23 +179,12 @@ def mutual_impedance_collinear(
     return complex(resistance, reactance)
 
 
-def _memoized_pair(func):
-    cache: dict[tuple[float, float], complex] = {}
-
-    def wrapper(dy: float, dz: float) -> complex:
-        key = (dy, dz)
-        if key not in cache:
-            cache[key] = func(dy, dz)
-        return cache[key]
-
-    return wrapper
-
-
 def impedance_matrix(geometry: UpaGeometry) -> np.ndarray:
     """Pairwise mutual impedance matrix of the array, symmetric by construction.
 
     Dispatch by element offset: same position -> self impedance, pure
     horizontal -> side-by-side, pure vertical -> collinear, otherwise echelon.
+    Each unsigned offset is evaluated once.
     """
     length = geometry.dipole_length
     radius = geometry.dipole_radius
@@ -208,7 +196,6 @@ def impedance_matrix(geometry: UpaGeometry) -> np.ndarray:
             stacklevel=2,
         )
 
-    @_memoized_pair
     def pair_impedance(dy: float, dz: float) -> complex:
         if dy == 0.0 and dz == 0.0:
             return self_impedance(length, radius)
@@ -218,18 +205,7 @@ def impedance_matrix(geometry: UpaGeometry) -> np.ndarray:
             return mutual_impedance_collinear(dz, length, radius)
         return mutual_impedance_echelon(dy, dz, length)
 
-    m = geometry.size
-    z = np.zeros((m, m), dtype=complex)
-    for n in range(m):
-        ry_n, rz_n = geometry.row_column(n)
-        for j in range(n, m):
-            ry_j, rz_j = geometry.row_column(j)
-            value = pair_impedance(
-                abs(ry_n - ry_j) * geometry.d_y, abs(rz_n - rz_j) * geometry.d_z
-            )
-            z[n, j] = value
-            z[j, n] = value
-    return z
+    return even_separation_matrix(geometry, pair_impedance)
 
 
 def dissipation_resistance(
@@ -276,29 +252,20 @@ class CouplingModel:
         return self.impedance.shape[0]
 
 
-@lru_cache(maxsize=8)
-def _iso_reference(geometry: UpaGeometry):
-    from .correlation import iso_matrix
-
-    return iso_matrix(geometry)
-
-
 def coupling_model(
     geometry: UpaGeometry,
+    r_iso: CovarianceMatrix,
     frequency: float = 3.0e9,
     conductivity: float = DEFAULT_CONDUCTIVITY,
     use_full_impedance: bool = False,
-    r_iso: CovarianceMatrix | None = None,
 ) -> CouplingModel:
     """Build the coupling model for the array at the given operating point.
 
     ``r_iso`` (the array's isotropic correlation) fixes the power-preserving
-    normalization; it is computed on demand when not supplied.
+    normalization.
     """
     z = impedance_matrix(geometry)
     r_d = dissipation_resistance(geometry, frequency, conductivity)
-    if r_iso is None:
-        r_iso = _iso_reference(geometry)
     if use_full_impedance:
         from scipy.linalg import sqrtm
 

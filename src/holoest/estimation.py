@@ -1,4 +1,4 @@
-"""Pilot-based channel estimation: sampling, filters, and MSE analysis.
+"""Pilot-based channel estimation: filters and MSE analysis.
 
 The estimator family shares one linear structure, estimate = W y, with W
 either the scaled identity (least squares) or the Bayesian filter
@@ -30,12 +30,8 @@ __all__ = [
     "LS",
     "ESTIMATOR_KINDS",
     "EstimatorSpec",
-    "PilotObservation",
-    "sample_channel",
-    "observe_pilot",
     "mmse_filter",
     "ls_filter",
-    "estimate",
     "error_covariance",
     "analytic_mse",
     "mse_eigen_expansion",
@@ -71,41 +67,9 @@ class EstimatorSpec:
             raise ValueError("pilot SNR must be positive")
 
 
-@dataclass(frozen=True)
-class PilotObservation:
-    """One received pilot vector and the SNR it was observed at."""
-
-    y: np.ndarray
-    rho: float
-    noise_seed: int | None = None
-
-
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Circularly symmetric unit-variance complex Gaussian draws."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
-
-
-def sample_channel(r_sqrt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw a correlated channel h = R^(1/2) h_iid."""
-    r_sqrt = np.asarray(r_sqrt)
-    return r_sqrt @ complex_normal(rng, r_sqrt.shape[1])
-
-
-def observe_pilot(
-    h: np.ndarray,
-    rho: float,
-    rng: np.random.Generator | None = None,
-    *,
-    seed: int | None = None,
-) -> PilotObservation:
-    """Receive y = sqrt(rho) h + n with unit-variance complex AWGN."""
-    if rho <= 0:
-        raise ValueError("pilot SNR must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    h = np.asarray(h)
-    noise = complex_normal(rng, h.size)
-    return PilotObservation(y=np.sqrt(rho) * h + noise, rho=rho, noise_seed=seed)
 
 
 def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> EstimatorSpec:
@@ -130,16 +94,6 @@ def ls_filter(rho: float, m: int) -> EstimatorSpec:
     if rho <= 0:
         raise ValueError("pilot SNR must be positive")
     return EstimatorSpec(kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho)
-
-
-def estimate(spec: EstimatorSpec, obs: PilotObservation) -> np.ndarray:
-    """Apply the filter to an observation."""
-    y = np.asarray(obs.y)
-    if spec.filter.shape[1] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: filter is {spec.filter.shape}, y has {y.shape[0]}"
-        )
-    return spec.filter @ y
 
 
 def error_covariance(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> np.ndarray:

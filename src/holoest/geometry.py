@@ -1,4 +1,9 @@
-"""Uniform planar array geometry in the yz-plane and plane-wave response."""
+"""Uniform planar array geometry in the yz-plane and plane-wave response.
+
+Also owns the separation layout: every matrix of the array whose entries
+depend only on the element pair's offset is assembled from a grid of
+per-offset values by ``separation_fill`` or ``even_separation_matrix``.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ __all__ = [
     "Direction",
     "element_position",
     "element_positions",
+    "separation_fill",
+    "even_separation_matrix",
     "wave_vector",
     "array_response",
 ]
@@ -79,13 +86,48 @@ def element_position(geometry: UpaGeometry, m: int) -> np.ndarray:
     return np.array([0.0, ry * geometry.d_y, rz * geometry.d_z])
 
 
+def _grid_indices(geometry: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(y-index, z-index) arrays of all elements, in element order."""
+    m = np.arange(geometry.size)
+    return m // geometry.m_z, m % geometry.m_z
+
+
 def element_positions(geometry: UpaGeometry) -> np.ndarray:
     """All element positions, shape (M, 3), wavelength units."""
-    m = np.arange(geometry.size)
+    ry, rz = _grid_indices(geometry)
     pos = np.zeros((geometry.size, 3))
-    pos[:, 1] = (m // geometry.m_z) * geometry.d_y
-    pos[:, 2] = (m % geometry.m_z) * geometry.d_z
+    pos[:, 1] = ry * geometry.d_y
+    pos[:, 2] = rz * geometry.d_z
     return pos
+
+
+def separation_fill(geometry: UpaGeometry, grid: np.ndarray) -> np.ndarray:
+    """Expand a (2My-1, 2Mz-1) signed-separation grid to the full M x M matrix.
+
+    ``grid[a + My - 1, b + Mz - 1]`` is the entry of every pair (n, j) whose
+    y-index and z-index differences, n's minus j's, are a and b.
+    """
+    ry, rz = _grid_indices(geometry)
+    idy = ry[:, None] - ry[None, :] + geometry.m_y - 1
+    idz = rz[:, None] - rz[None, :] + geometry.m_z - 1
+    return grid[idy, idz]
+
+
+def even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
+    """Full matrix of entries that depend on |dy|, |dz| only.
+
+    Calls ``entry(dy, dz)`` once per unsigned offset (wavelength units) and
+    mirrors the values onto the signed-separation grid.
+    """
+    unsigned = np.array(
+        [
+            [entry(a * geometry.d_y, b * geometry.d_z) for b in range(geometry.m_z)]
+            for a in range(geometry.m_y)
+        ]
+    )
+    iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
+    iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
+    return separation_fill(geometry, unsigned[np.ix_(iy, iz)])
 
 
 def wave_vector(direction: Direction, wavelength: float) -> np.ndarray:

@@ -6,8 +6,13 @@ import pytest
 
 from holoest import experiments
 from holoest.coupling import GeometryOverlapWarning, coupling_model
-from holoest.correlation import cluster_matrix, iso_matrix
-from holoest.experiments import DEFAULT_BASE_SEED, default_cluster_scenario
+from holoest.correlation import iso_matrix
+from holoest.experiments import (
+    DEFAULT_BASE_SEED,
+    SweepConfig,
+    build_channel,
+    default_cluster_scenario,
+)
 from holoest.geometry import UpaGeometry
 
 
@@ -37,8 +42,8 @@ def r_iso_4x4(geom_4x4):
 
 
 @pytest.fixture(scope="session")
-def r_iso_10x10(geom_10x10):
-    return iso_matrix(geom_10x10)
+def r_iso_10x10(channel_iso_10x10):
+    return channel_iso_10x10.r_iso
 
 
 @pytest.fixture(scope="session")
@@ -49,10 +54,8 @@ def model_4x4(geom_4x4, r_iso_4x4):
 
 
 @pytest.fixture(scope="session")
-def model_10x10(geom_10x10, r_iso_10x10):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometryOverlapWarning)
-        return coupling_model(geom_10x10, r_iso=r_iso_10x10)
+def model_10x10(channel_iso_10x10):
+    return channel_iso_10x10.model
 
 
 @pytest.fixture(scope="session")
@@ -61,8 +64,24 @@ def cluster_scenario_20():
 
 
 @pytest.fixture(scope="session")
-def r_clu_10x10(geom_10x10, cluster_scenario_20):
-    return cluster_matrix(geom_10x10, cluster_scenario_20)
+def r_clu_10x10(channel_clu_10x10):
+    return channel_clu_10x10.r_base
+
+
+def _analytic_channel(geometry, scenario):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeometryOverlapWarning)
+        return build_channel(SweepConfig(geometry, scenario, mc_trials=0))
+
+
+@pytest.fixture(scope="session")
+def channel_iso_10x10(geom_10x10):
+    return _analytic_channel(geom_10x10, "isotropic")
+
+
+@pytest.fixture(scope="session")
+def channel_clu_10x10(geom_10x10, cluster_scenario_20):
+    return _analytic_channel(geom_10x10, cluster_scenario_20)
 
 
 @pytest.fixture

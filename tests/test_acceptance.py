@@ -9,7 +9,6 @@ loosened until green.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from holoest.correlation import (
     quadrature_entry,
 )
 from holoest.coupling import (
-    GeometryOverlapWarning,
     effective_correlation,
     mutual_impedance_echelon,
     mutual_impedance_side_by_side,
@@ -55,19 +53,15 @@ def r_mc_clu(model_10x10, r_clu_10x10):
 
 
 @pytest.fixture(scope="module")
-def sweep_iso(geom_10x10):
+def sweep_iso(geom_10x10, channel_iso_10x10):
     config = SweepConfig(geometry=geom_10x10, scenario="isotropic", mc_trials=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometryOverlapWarning)
-        return run_sweep(config)
+    return run_sweep(config, channel_iso_10x10)
 
 
 @pytest.fixture(scope="module")
-def sweep_clu(geom_10x10, cluster_scenario_20):
+def sweep_clu(geom_10x10, cluster_scenario_20, channel_clu_10x10):
     config = SweepConfig(geometry=geom_10x10, scenario=cluster_scenario_20, mc_trials=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GeometryOverlapWarning)
-        return run_sweep(config)
+    return run_sweep(config, channel_clu_10x10)
 
 
 def test_criterion_1_series_quadrature_equivalence():

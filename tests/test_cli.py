@@ -227,6 +227,14 @@ class TestValidateCommand:
         assert code == 0
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+        # the output contract: one line per check, in this order, nothing else
+        assert [line.split()[1] for line in out.splitlines()] == [
+            "series_vs_quadrature",
+            "zero_separation_value",
+            "prop2_subspaces",
+            "prop3_eigen_expansion",
+            "monte_carlo_consistency",
+        ]
 
     def test_channel_built_once(self, small_cfg, monkeypatch):
         iso_calls = count_calls(monkeypatch, correlation.iso_matrix)

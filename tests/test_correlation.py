@@ -240,8 +240,6 @@ class TestClusterMatrix:
     def test_entries_match_quadrature_oracle(self, geom_2x2):
         cluster = narrow_cluster()
         scenario = ClusterScenario.create([cluster])
-        r = cluster_matrix(geom_2x2, scenario)
-        pos = element_positions(geom_2x2)
         opts = QuadratureOptions(
             abs_tol=1e-10,
             azimuth_points=(cluster.azimuth,),
@@ -251,9 +249,16 @@ class TestClusterMatrix:
         def density(az, el):
             return total_scattering(scenario, az, el)
 
-        for n, j in ((0, 1), (0, 3), (2, 1)):
-            oracle = quadrature_entry(density, pos[n] - pos[j], opts)
-            assert r.entries[n, j] == pytest.approx(oracle, abs=1e-8)
+        anisotropic_2x3 = UpaGeometry(m_y=2, m_z=3, d_y=0.25, d_z=0.4)
+        for geom, pairs in (
+            (geom_2x2, ((0, 1), (0, 3), (2, 1))),
+            (anisotropic_2x3, ((0, 1), (0, 3), (2, 1), (5, 0), (1, 5))),
+        ):
+            r = cluster_matrix(geom, scenario)
+            pos = element_positions(geom)
+            for n, j in pairs:
+                oracle = quadrature_entry(density, pos[n] - pos[j], opts)
+                assert r.entries[n, j] == pytest.approx(oracle, abs=1e-8)
 
     def test_cluster_rank_below_iso_rank(self, r_clu_10x10, r_iso_10x10):
         assert r_clu_10x10.numerical_rank() < r_iso_10x10.numerical_rank()

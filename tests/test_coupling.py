@@ -20,7 +20,7 @@ from holoest.coupling import (
     mutual_impedance_side_by_side,
     self_impedance,
 )
-from holoest.correlation import psd_clamp
+from holoest.correlation import iso_matrix, psd_clamp
 from holoest.coupling import CouplingModel
 from holoest.geometry import UpaGeometry
 
@@ -200,13 +200,13 @@ class TestDissipationResistance:
 class TestCouplingModel:
     def test_single_antenna_normalizes_to_identity(self):
         geom = UpaGeometry(m_y=1, m_z=1, d_y=0.5, d_z=0.5)
-        model = coupling_model(geom)
+        model = coupling_model(geom, r_iso=iso_matrix(geom))
         assert model.coupling.shape == (1, 1)
         assert model.coupling[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_widely_spaced_pair_decouples(self):
         geom = UpaGeometry(m_y=2, m_z=1, d_y=50.0, d_z=0.5)
-        model = coupling_model(geom)
+        model = coupling_model(geom, r_iso=iso_matrix(geom))
         off = abs(model.coupling[0, 1])
         diag = abs(model.coupling[0, 0])
         assert off / diag < 1e-3

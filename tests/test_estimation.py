@@ -18,58 +18,6 @@ def random_covariance(m: int, seed: int, rank: int | None = None) -> CovarianceM
     return psd_clamp(factor @ factor.conj().T)
 
 
-class TestSampling:
-    def test_zero_covariance_gives_zero_channel(self):
-        h = est.sample_channel(np.zeros((4, 4)), np.random.default_rng(0))
-        assert np.allclose(h, 0.0)
-
-    def test_identity_sample_covariance(self):
-        m, trials = 8, 100_000
-        rng = np.random.default_rng(1)
-        draws = np.array([est.sample_channel(np.eye(m), rng) for _ in range(trials)])
-        cov = draws.T.conj() @ draws / trials
-        assert np.abs(cov - np.eye(m)).max() < 0.05
-
-    def test_correlated_sample_trace(self):
-        r_mc = random_covariance(6, 2)
-        root = psd_sqrt(r_mc)
-        rng = np.random.default_rng(3)
-        total = 0.0
-        trials = 100_000
-        for _ in range(trials):
-            h = est.sample_channel(root, rng)
-            total += float(np.vdot(h, h).real)
-        assert total / trials == pytest.approx(r_mc.trace(), rel=0.02)
-
-
-class TestObservePilot:
-    def test_vanishing_noise_limit(self):
-        rng = np.random.default_rng(4)
-        h = est.complex_normal(rng, 16)
-        obs = est.observe_pilot(h, rho=1e12, rng=np.random.default_rng(5))
-        assert np.linalg.norm(obs.y / math.sqrt(1e12) - h) < 1e-5 * math.sqrt(16)
-
-    def test_noise_power(self):
-        m, trials = 8, 100_000
-        rng = np.random.default_rng(6)
-        total = 0.0
-        for _ in range(trials):
-            obs = est.observe_pilot(np.zeros(m), rho=1.0, rng=rng)
-            total += float(np.vdot(obs.y, obs.y).real)
-        assert total / trials == pytest.approx(m, rel=0.02)
-
-    def test_same_seed_reproduces(self):
-        h = np.ones(5, dtype=complex)
-        a = est.observe_pilot(h, rho=2.0, seed=42)
-        b = est.observe_pilot(h, rho=2.0, seed=42)
-        assert np.array_equal(a.y, b.y)
-        assert a.noise_seed == 42
-
-    def test_rejects_nonpositive_snr(self):
-        with pytest.raises(ValueError):
-            est.observe_pilot(np.zeros(3), rho=0.0, seed=0)
-
-
 class TestFilters:
     def test_mmse_zero_prior_gives_zero_filter(self):
         spec = est.mmse_filter(psd_clamp(np.zeros((3, 3))), rho=1.0)
@@ -97,8 +45,8 @@ class TestFilters:
 
     def test_ls_estimate_recovers_scaled_observation(self):
         spec = est.ls_filter(4.0, 3)
-        obs = est.PilotObservation(y=np.array([2.0, 4.0, 6.0], dtype=complex), rho=4.0)
-        assert np.allclose(est.estimate(spec, obs), obs.y / 2.0)
+        y = np.array([2.0, 4.0, 6.0], dtype=complex)
+        assert np.allclose(spec.filter @ y, y / 2.0)
 
     def test_rejects_bad_snr(self):
         with pytest.raises(ValueError):
@@ -110,21 +58,13 @@ class TestFilters:
 class TestEstimate:
     def test_zero_filter_zero_estimate(self):
         spec = est.EstimatorSpec(est.MMSE_TRUE, np.zeros((3, 3)), rho=1.0)
-        obs = est.PilotObservation(y=np.ones(3, dtype=complex), rho=1.0)
-        assert np.allclose(est.estimate(spec, obs), 0.0)
-
-    def test_dimension_mismatch(self):
-        spec = est.ls_filter(1.0, 3)
-        obs = est.PilotObservation(y=np.ones(4, dtype=complex), rho=1.0)
-        with pytest.raises(ValueError):
-            est.estimate(spec, obs)
+        assert np.allclose(spec.filter @ np.ones(3, dtype=complex), 0.0)
 
     def test_estimate_lies_in_prior_column_space(self):
         r_hat = random_covariance(8, 8, rank=3)
         spec = est.mmse_filter(r_hat, rho=2.0)
         rng = np.random.default_rng(9)
-        obs = est.PilotObservation(y=est.complex_normal(rng, 8), rho=2.0)
-        guess = est.estimate(spec, obs)
+        guess = spec.filter @ est.complex_normal(rng, 8)
         basis = r_hat.eig.basis[:, r_hat.eig.values > 1e-8 * r_hat.eig.values[0]]
         leak = guess - basis @ (basis.conj().T @ guess)
         assert np.linalg.norm(leak) < 1e-8 * np.linalg.norm(guess)
@@ -133,10 +73,9 @@ class TestEstimate:
         r_mc = effective_correlation(model_10x10, r_iso_10x10)
         rho = 1e12
         root = psd_sqrt(r_mc)
-        h = est.sample_channel(root, np.random.default_rng(10))
+        h = root @ est.complex_normal(np.random.default_rng(10), root.shape[1])
         spec = est.mmse_filter(r_mc, rho)
-        obs = est.PilotObservation(y=math.sqrt(rho) * h, rho=rho)
-        guess = est.estimate(spec, obs)
+        guess = spec.filter @ (math.sqrt(rho) * h)
         assert np.linalg.norm(guess - h) / np.linalg.norm(h) < 1e-4
 
 
@@ -306,10 +245,10 @@ class TestMonteCarloConsistency:
             sq = {name: [] for name in specs}
             rng = np.random.default_rng(62)
             for _ in range(trials):
-                h = est.sample_channel(root, rng)
-                obs = est.observe_pilot(h, rho, rng)
+                h = root @ est.complex_normal(rng, m)
+                y = math.sqrt(rho) * h + est.complex_normal(rng, m)
                 for name, spec in specs.items():
-                    err = h - est.estimate(spec, obs)
+                    err = h - spec.filter @ y
                     sq[name].append(float(np.vdot(err, err).real))
             for name, spec in specs.items():
                 values = np.asarray(sq[name])

@@ -1,16 +1,25 @@
-"""Array geometry, wave vectors, and the plane-wave response."""
+"""Array geometry, the separation layout, wave vectors, and the plane-wave response."""
 
 import math
 
 import numpy as np
 import pytest
 
+from holoest.correlation import iso_entry, iso_matrix
+from holoest.coupling import (
+    impedance_matrix,
+    mutual_impedance_collinear,
+    mutual_impedance_echelon,
+    mutual_impedance_side_by_side,
+    self_impedance,
+)
 from holoest.geometry import (
     Direction,
     UpaGeometry,
     array_response,
     element_position,
     element_positions,
+    even_separation_matrix,
     wave_vector,
 )
 
@@ -100,3 +109,38 @@ def test_array_response_entry_is_first_element_normalized():
     geom = UpaGeometry(m_y=5, m_z=2, d_y=0.31, d_z=0.17)
     a = array_response(geom, Direction(0.3, 0.2))
     assert a[0] == pytest.approx(1.0)
+
+
+def _pair_impedance(geom, dy, dz):
+    length, radius = geom.dipole_length, geom.dipole_radius
+    if dy == 0.0 and dz == 0.0:
+        return self_impedance(length, radius)
+    if dz == 0.0:
+        return mutual_impedance_side_by_side(dy, length)
+    if dy == 0.0:
+        return mutual_impedance_collinear(dz, length, radius)
+    return mutual_impedance_echelon(dy, dz, length)
+
+
+@pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
+@pytest.mark.parametrize(
+    "build, pair",
+    [
+        (lambda g: even_separation_matrix(g, complex), lambda g, dy, dz: complex(dy, dz)),
+        (impedance_matrix, _pair_impedance),
+        (lambda g: iso_matrix(g).entries, lambda g, dy, dz: iso_entry(dy, dz)),
+    ],
+    ids=["layout", "impedance", "iso"],
+)
+def test_entries_follow_element_separation(build, pair):
+    # non-square, with d_y != d_z, so a swapped axis or transposed layout shows
+    geom = UpaGeometry(m_y=3, m_z=5, d_y=0.3, d_z=0.45)
+    matrix = build(geom)
+    pos = element_positions(geom)
+    expected = {}
+    for n in range(geom.size):
+        for j in range(geom.size):
+            _, dy, dz = np.abs(pos[n] - pos[j]).round(12)
+            if (dy, dz) not in expected:
+                expected[dy, dz] = pair(geom, dy, dz)
+            assert matrix[n, j] == pytest.approx(expected[dy, dz], abs=1e-9)
