@@ -8,7 +8,6 @@ estimators analytically and by Monte Carlo simulation.
 from .correlation import (
     AngularCluster,
     ClusterScenario,
-    CovarianceMatrix,
     QuadratureError,
     QuadratureOptions,
     cluster_matrix,
@@ -16,7 +15,6 @@ from .correlation import (
     iso_entry,
     iso_matrix,
     isotropic_scattering,
-    psd_clamp,
     quadrature_entry,
     total_scattering,
 )
@@ -56,9 +54,11 @@ from .experiments import (
 )
 from .geometry import Direction, UpaGeometry, array_response, element_position, wave_vector
 from .linalg import (
+    CovarianceMatrix,
     Eigendecomposition,
     hermitian_eig,
     principal_subspace,
+    psd_clamp,
     psd_sqrt,
     subspace_contained,
 )

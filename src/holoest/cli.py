@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,6 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -384,7 +389,9 @@ def main(argv=None) -> int:
         return 1
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning  # one line each, like the errors below
+            return args.func(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,25 +19,18 @@ the integral of ``f * exp(j k^T delta_r)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 
 from .geometry import UpaGeometry, even_separation_matrix, separation_fill
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    Eigendecomposition,
-    _require_hermitian,
-    hermitian_eig,
-)
+from .linalg import CovarianceMatrix, psd_clamp
 from .special import DIPOLE_DIRECTIVITY, alpha_coefficient
 
 __all__ = [
-    "COVARIANCE_KINDS",
     "SERIES_RADIUS",
-    "CovarianceMatrix",
     "QuadratureError",
     "QuadratureOptions",
     "AngularCluster",
@@ -49,10 +42,7 @@ __all__ = [
     "cluster_scattering",
     "total_scattering",
     "cluster_matrix",
-    "psd_clamp",
 ]
-
-COVARIANCE_KINDS = ("isotropic", "cluster", "effective", "custom")
 
 # Separation (wavelengths) beyond which the isotropic series is abandoned for
 # quadrature: past ~1.5 the alternating layers grow into the 1e7 range before
@@ -61,7 +51,6 @@ SERIES_RADIUS = 1.5
 _SERIES_MAX_K = 60
 
 _HALF_PI = math.pi / 2.0
-_DEFAULT_RECT = ((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI))
 
 # exp(-41.45) ~ 1e-18: angular regions where a cluster shape falls below this
 # contribute nothing at double precision and are excluded from its panels.
@@ -78,65 +67,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
-
-
-@dataclass(eq=False)
-class CovarianceMatrix:
-    """Hermitian PSD matrix with a lazily cached eigendecomposition."""
-
-    entries: np.ndarray
-    kind: str = "custom"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in COVARIANCE_KINDS:
-            raise ValueError(f"unknown covariance kind {self.kind!r}")
-        arr = np.asarray(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("covariance entries must form a square matrix")
-        self.entries = _require_hermitian(arr)
-        self._eig: Eigendecomposition | None = None
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def eig(self) -> Eigendecomposition:
-        if self._eig is None:
-            self._eig = hermitian_eig(self.entries)
-        return self._eig
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def numerical_rank(self, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-        values = self.eig.values
-        if values.size == 0 or values[0] <= 0:
-            return 0
-        return int(np.count_nonzero(values > rel_tol * values[0]))
-
-
-def psd_clamp(
-    a, rel_tol: float = 1e-10, kind: str = "custom", meta: dict | None = None
-) -> CovarianceMatrix:
-    """Zero out eigenvalues below rel_tol * lambda_1 and rewrap as PSD.
-
-    Accepts an ndarray or CovarianceMatrix; input must be square and
-    Hermitian within the tolerance of ``linalg._require_hermitian``.
-    """
-    entries = np.asarray(getattr(a, "entries", a))
-    eig = hermitian_eig(entries)
-    values = eig.values.copy()
-    top = max(values[0], 0.0) if values.size else 0.0
-    values[values < rel_tol * top] = 0.0
-    rebuilt = (eig.basis * values) @ eig.basis.conj().T
-    rebuilt = 0.5 * (rebuilt + rebuilt.conj().T)
-    if np.isrealobj(entries):
-        rebuilt = rebuilt.real
-    out = CovarianceMatrix(rebuilt, kind=kind, meta=dict(meta or {}))
-    out._eig = Eigendecomposition(basis=eig.basis, values=values)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +139,6 @@ class QuadratureOptions:
     """Controls for the adaptive scattering-integral quadrature."""
 
     abs_tol: float = 1e-9
-    rect: tuple[tuple[float, float], tuple[float, float]] = _DEFAULT_RECT
     limit: int = 150
     azimuth_points: tuple[float, ...] | None = None
     elevation_points: tuple[float, ...] | None = None
@@ -225,13 +154,13 @@ def _clip_points(points, lo: float, hi: float):
 def quadrature_entry(f, delta_r, opts: QuadratureOptions | None = None) -> complex:
     """Correlation entry for offset ``delta_r`` by adaptive 2-D quadrature.
 
-    ``f(azimuth, elevation)`` must be nonnegative on the integration
-    rectangle.  Raises QuadratureError when the error estimate exceeds ten
-    times the absolute target.
+    ``f(azimuth, elevation)`` must be nonnegative on the front half-space,
+    (-pi/2, pi/2) on both axes.  Raises QuadratureError when the error
+    estimate exceeds ten times the absolute target.
     """
     opts = opts or QuadratureOptions()
     dx, dy, dz = (float(c) for c in np.asarray(delta_r, dtype=float))
-    (az_lo, az_hi), (el_lo, el_hi) = opts.rect
+    domain = (-_HALF_PI, _HALF_PI)
 
     def phase(az, el):
         return (
@@ -245,12 +174,12 @@ def quadrature_entry(f, delta_r, opts: QuadratureOptions | None = None) -> compl
         )
 
     quad_opts = []
-    for tol, points, lo, hi in (
-        (opts.abs_tol / 4.0, opts.elevation_points, el_lo, el_hi),
-        (opts.abs_tol / 2.0, opts.azimuth_points, az_lo, az_hi),
+    for tol, points in (
+        (opts.abs_tol / 4.0, opts.elevation_points),
+        (opts.abs_tol / 2.0, opts.azimuth_points),
     ):
         level = {"epsabs": tol, "epsrel": 1e-10, "limit": opts.limit}
-        clipped = _clip_points(points, lo, hi)
+        clipped = _clip_points(points, *domain)
         if clipped is not None:
             level["points"] = clipped
         quad_opts.append(level)
@@ -260,9 +189,7 @@ def quadrature_entry(f, delta_r, opts: QuadratureOptions | None = None) -> compl
             x = phase(az, el)
             return f(az, el) * (math.cos(x) if part == "re" else math.sin(x))
 
-        return integrate.nquad(
-            integrand, [(el_lo, el_hi), (az_lo, az_hi)], opts=quad_opts
-        )
+        return integrate.nquad(integrand, [domain, domain], opts=quad_opts)
 
     value_re, err_re = run("re")
     value_im, err_im = run("im")

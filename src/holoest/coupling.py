@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CovarianceMatrix
 from .geometry import UpaGeometry, even_separation_matrix
-from .linalg import Eigendecomposition, _normalize_phases, hermitian_eig, psd_sqrt
+from .linalg import CovarianceMatrix, hermitian_eig, psd_sqrt, thin_svd
 from .special import EULER_GAMMA, cos_integral, sin_integral
 
 __all__ = [
@@ -310,35 +309,19 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
     """Correlation of the coupled channel: C^(1/2) R C^(1/2).
 
     Assembled as F F^H from the factor F = C^(1/2) R^(1/2) via its singular
-    value decomposition (LAPACK gesdd, retried with gesvd when gesdd does not
-    converge).  This is the same matrix as the triple product but
-    keeps the weak eigenvectors consistent with the factor's column space,
-    which the subspace analysis compares against.
+    value decomposition (``linalg.thin_svd``: LAPACK gesdd, retried with
+    gesvd when gesdd does not converge).  This is the same matrix as the
+    triple product but keeps the weak eigenvectors consistent with the
+    factor's column space, which the subspace analysis compares against.
     """
     root = model.coupling_sqrt
     if root.shape[0] != r.size:
         raise ValueError(
             f"dimension mismatch: coupling is {root.shape[0]}, correlation is {r.size}"
         )
-    factor = root @ psd_sqrt(r)
-    try:
-        basis, singulars, _ = np.linalg.svd(factor)
-    except np.linalg.LinAlgError:
-        # gesdd can fail to converge where the slower QR-iteration driver does not
-        from scipy.linalg import svd
-
-        basis, singulars, _ = svd(factor, lapack_driver="gesvd")
-    basis = _normalize_phases(basis)
-    values = singulars**2
-    values[values < 1e-10 * (values[0] if values.size else 0.0)] = 0.0
-    entries = (basis * values) @ basis.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
-    if np.isrealobj(root) and np.isrealobj(r.entries):
-        entries = entries.real
-    meta = {
-        "source_kind": r.kind,
-        "trace_ratio": float(np.trace(entries).real) / max(r.trace(), 1e-300),
-    }
-    out = CovarianceMatrix(entries, kind="effective", meta=meta)
-    out._eig = Eigendecomposition(basis=basis, values=values)
+    basis, singulars = thin_svd(root @ psd_sqrt(r))
+    real = np.isrealobj(root) and np.isrealobj(r.entries)
+    meta = {"source_kind": r.kind}
+    out = CovarianceMatrix.from_spectrum(basis, singulars**2, real, "effective", meta)
+    out.meta["trace_ratio"] = out.trace() / max(r.trace(), 1e-300)
     return out

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CovarianceMatrix
 from .linalg import (
     DEFAULT_RANK_TOL,
+    CovarianceMatrix,
     hermitian_eig,
     orthonormal_column_basis,
     principal_subspace,
+    spectral_rebuild,
     subspace_contained,
 )
 
@@ -84,8 +85,7 @@ def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> E
         raise ValueError("use ls_filter for the least-squares estimator")
     eig = r_hat.eig
     gains = np.sqrt(rho) * eig.values / (rho * eig.values + 1.0)
-    w = (eig.basis * gains) @ eig.basis.conj().T
-    w = 0.5 * (w + w.conj().T)
+    w = spectral_rebuild(eig.basis, gains)
     return EstimatorSpec(kind=kind, filter=w, rho=rho, basis=eig.basis, gains=gains)
 
 
@@ -153,10 +153,7 @@ def mse_mismatched_beta(lambda_h: float, lambda_w_source: float, rho: float) -> 
 
 
 def verify_column_space(
-    spec: EstimatorSpec,
-    expected_factor: np.ndarray,
-    tol: float,
-    rng: np.random.Generator | None = None,
+    spec: EstimatorSpec, expected_factor: np.ndarray, tol: float
 ) -> tuple[bool, float]:
     """Check the filter's column space sits inside that of a factor matrix.
 
@@ -171,10 +168,10 @@ def verify_column_space(
         keep = magnitudes > DEFAULT_RANK_TOL * magnitudes.max()
         basis_w = spec.basis[:, keep]
     else:
-        basis_w = principal_subspace(spec.filter, DEFAULT_RANK_TOL)
+        basis_w = principal_subspace(spec.filter)
     basis_f = orthonormal_column_basis(expected_factor)
     _, residual = subspace_contained(basis_w, basis_f, tol)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     batch = spec.filter @ complex_normal(rng, 16 * spec.filter.shape[0]).reshape(
         spec.filter.shape[0], 16
     )

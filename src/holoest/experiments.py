@@ -17,16 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimation as est
-from .correlation import (
-    AngularCluster,
-    ClusterScenario,
-    CovarianceMatrix,
-    cluster_matrix,
-    iso_matrix,
-)
+from .correlation import AngularCluster, ClusterScenario, cluster_matrix, iso_matrix
 from .coupling import CouplingModel, coupling_model, effective_correlation
 from .geometry import UpaGeometry
-from .linalg import psd_sqrt
+from .linalg import CovarianceMatrix, psd_sqrt
 
 __all__ = [
     "DEFAULT_SNR_GRID_DB",

@@ -1,28 +1,38 @@
-"""Dense Hermitian eigen-machinery shared across the package.
+"""Dense Hermitian eigen-machinery and the PSD covariance type.
 
 Thin wrappers over numpy.linalg with the ordering, phase and rank conventions
 the rest of the package relies on: eigenvalues nonincreasing, each eigenvector
 phase-normalized so its largest-magnitude entry is real positive, and a single
-relative tolerance for every numerical-rank decision.
+relative tolerance for every numerical-rank decision.  This is the only module
+that clamps, rebuilds or decomposes a PSD matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "COVARIANCE_KINDS",
     "DEFAULT_RANK_TOL",
+    "CovarianceMatrix",
     "Eigendecomposition",
     "hermitian_eig",
+    "spectral_rebuild",
+    "psd_clamp",
     "psd_sqrt",
     "principal_subspace",
     "subspace_contained",
+    "thin_svd",
     "orthonormal_column_basis",
 ]
 
+COVARIANCE_KINDS = ("isotropic", "cluster", "effective", "custom")
+
 DEFAULT_RANK_TOL = 1e-8
+# Eigenvalues below this times the largest are roundoff, clamped to zero.
+_CLAMP_TOL = 1e-10
 # The one Hermitian-input tolerance of the package, relative to the largest
 # entry (or 1, if larger).
 _HERMITIAN_TOL = 1e-12
@@ -36,9 +46,59 @@ class Eigendecomposition:
     values: np.ndarray
 
 
+@dataclass(eq=False)
+class CovarianceMatrix:
+    """Hermitian PSD matrix with a lazily cached eigendecomposition."""
+
+    entries: np.ndarray
+    kind: str = "custom"
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in COVARIANCE_KINDS:
+            raise ValueError(f"unknown covariance kind {self.kind!r}")
+        self.entries = _require_hermitian(_as_square(self.entries))
+        self._eig: Eigendecomposition | None = None
+
+    @classmethod
+    def from_spectrum(cls, basis, values, real: bool, kind="custom", meta=None):
+        """Rebuild from an orthonormal basis and eigenvalues, clamping roundoff.
+
+        The basis and the clamped values become the cached decomposition;
+        ``real`` drops the imaginary part of the rebuilt entries.
+        """
+        values = values.copy()
+        top = max(values[0], 0.0) if values.size else 0.0
+        values[values < _CLAMP_TOL * top] = 0.0
+        entries = spectral_rebuild(basis, values)
+        if real:
+            entries = entries.real
+        out = cls(entries, kind=kind, meta=dict(meta or {}))
+        out._eig = Eigendecomposition(basis=basis, values=values)
+        return out
+
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def eig(self) -> Eigendecomposition:
+        if self._eig is None:
+            self._eig = hermitian_eig(self.entries)
+        return self._eig
+
+    def trace(self) -> float:
+        return float(np.trace(self.entries).real)
+
+    def numerical_rank(self, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+        values = self.eig.values
+        if values.size == 0 or values[0] <= 0:
+            return 0
+        return int(np.count_nonzero(values > rel_tol * values[0]))
+
+
 def _as_square(a) -> np.ndarray:
-    entries = getattr(a, "entries", a)
-    arr = np.asarray(entries)
+    arr = np.asarray(a.entries if isinstance(a, CovarianceMatrix) else a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -93,35 +153,53 @@ def hermitian_eig(a) -> Eigendecomposition:
     return Eigendecomposition(basis=basis, values=values)
 
 
-def psd_sqrt(a, *, clamp_tol: float = 1e-10) -> np.ndarray:
+def spectral_rebuild(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian matrix basis diag(values) basis^H, symmetrized."""
+    rebuilt = (basis * values) @ basis.conj().T
+    return 0.5 * (rebuilt + rebuilt.conj().T)
+
+
+def psd_clamp(a, kind: str = "custom", meta: dict | None = None) -> CovarianceMatrix:
+    """Zero out eigenvalues below _CLAMP_TOL * lambda_1 and rewrap as PSD.
+
+    Accepts an ndarray or CovarianceMatrix; input must be square and
+    Hermitian within the tolerance of ``_require_hermitian``.
+    """
+    entries = _as_square(a)
+    eig = hermitian_eig(entries)
+    return CovarianceMatrix.from_spectrum(
+        eig.basis, eig.values, np.isrealobj(entries), kind=kind, meta=meta
+    )
+
+
+def psd_sqrt(a) -> np.ndarray:
     """Unique PSD square root of a PSD matrix.
 
-    Eigenvalues in [-clamp_tol * lambda_1, 0) are treated as roundoff and
+    Eigenvalues in [-_CLAMP_TOL * lambda_1, 0) are treated as roundoff and
     clamped to zero; anything more negative raises.
     """
-    eig = a.eig if hasattr(a, "eig") else hermitian_eig(a)
+    eig = a.eig if isinstance(a, CovarianceMatrix) else hermitian_eig(a)
     values = eig.values.copy()
     top = max(values[0], 0.0) if values.size else 0.0
-    if values.size and values[-1] < -clamp_tol * max(top, 1e-300):
+    if values.size and values[-1] < -_CLAMP_TOL * max(top, 1e-300):
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {values[-1]:.3e} "
             f"below clamp tolerance"
         )
     values[values < 0] = 0.0
-    root = (eig.basis * np.sqrt(values)) @ eig.basis.conj().T
-    return 0.5 * (root + root.conj().T)
+    return spectral_rebuild(eig.basis, np.sqrt(values))
 
 
-def principal_subspace(a, rel_rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def principal_subspace(a) -> np.ndarray:
     """Orthonormal basis (M x r) for the eigenvectors above the rank cutoff.
 
-    r is the numerical rank: eigenvalues exceeding rel_rank_tol times the
+    r is the numerical rank: eigenvalues exceeding DEFAULT_RANK_TOL times the
     largest.  A zero matrix yields an empty (M x 0) basis.
     """
-    eig = a.eig if hasattr(a, "eig") else hermitian_eig(a)
+    eig = a.eig if isinstance(a, CovarianceMatrix) else hermitian_eig(a)
     if eig.values.size == 0 or eig.values[0] <= 0:
         return np.zeros((eig.basis.shape[0], 0), dtype=eig.basis.dtype)
-    keep = eig.values > rel_rank_tol * eig.values[0]
+    keep = eig.values > DEFAULT_RANK_TOL * eig.values[0]
     return eig.basis[:, keep]
 
 
@@ -152,12 +230,25 @@ def subspace_contained(
     return residual < tol, residual
 
 
-def orthonormal_column_basis(
-    factor: np.ndarray, rel_rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def thin_svd(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-normalized left singular vectors and singular values of a factor.
+
+    LAPACK gesdd, retried with the slower but sturdier gesvd when it fails.
+    """
+    try:
+        u, s, _ = np.linalg.svd(factor, full_matrices=False)
+    except np.linalg.LinAlgError:
+        from scipy.linalg import svd
+
+        u, s, _ = svd(factor, full_matrices=False, lapack_driver="gesvd")
+    return _normalize_phases(u), s
+
+
+def orthonormal_column_basis(factor: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column space of an arbitrary M x N factor."""
     factor = np.atleast_2d(np.asarray(factor))
-    u, s, _ = np.linalg.svd(factor, full_matrices=False)
+    u, s = thin_svd(factor)
     if s.size == 0 or s[0] <= 0:
         return np.zeros((factor.shape[0], 0), dtype=complex)
-    return _normalize_phases(u[:, s > rel_rank_tol * s[0]])
+    # singular values are nonincreasing, so the kept columns are a prefix
+    return u[:, : np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])]

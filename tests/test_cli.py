@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -282,3 +283,15 @@ class TestTopLevel:
         path = tmp_path / "bad.cfg"
         path.write_text("geometry.unknown = 1\n", encoding="utf-8")
         assert main(["--config", str(path), "validate"]) == 1
+
+    def test_warning_prints_one_line(self, small_cfg, capsys):
+        # d_z 0.2 is below the 0.5 dipole length; re-enable the warning the
+        # module-level filter ignores
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", coupling.GeometryOverlapWarning)
+            assert main(["--config", small_cfg, "--quiet", "subspace"]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: vertical spacing is below the dipole length: stacked elements "
+            "overlap and the impedance closed forms are extrapolated"
+        ]

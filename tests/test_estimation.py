@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from holoest import estimation as est
-from holoest.correlation import CovarianceMatrix, psd_clamp
 from holoest.coupling import effective_correlation
-from holoest.linalg import psd_sqrt
+from holoest.linalg import CovarianceMatrix, psd_clamp, psd_sqrt
 
 
 def random_covariance(m: int, seed: int, rank: int | None = None) -> CovarianceMatrix:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from holoest import estimation as est
-from holoest.correlation import CovarianceMatrix, psd_clamp
+from holoest.coupling import effective_correlation
 from holoest.linalg import (
+    CovarianceMatrix,
     _require_hermitian,
     hermitian_eig,
     orthonormal_column_basis,
     principal_subspace,
+    psd_clamp,
     psd_sqrt,
     subspace_contained,
 )
@@ -132,6 +134,26 @@ def test_orthonormal_column_basis_spans_factor():
     assert basis.shape == (6, 3)
     leak = factor - basis @ (basis.conj().T @ factor)
     assert np.abs(leak).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda model, r: effective_correlation(model, r).entries,
+        lambda model, r: orthonormal_column_basis(model.coupling_sqrt @ psd_sqrt(r)),
+    ],
+    ids=["effective_correlation", "orthonormal_column_basis"],
+)
+def test_svd_falls_back_to_gesvd(build, model_4x4, r_iso_4x4, monkeypatch):
+    expected = build(model_4x4, r_iso_4x4)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    retried = build(model_4x4, r_iso_4x4)
+    scale = np.abs(expected).max()
+    assert np.abs(retried - expected).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
