@@ -255,7 +255,9 @@ def _validate_checks(sweep_config, channel):
     checks = []
 
     # closed-form series against the quadrature oracle at every unique
-    # separation the series covers; beyond SERIES_RADIUS iso_entry is the oracle
+    # separation the series covers; beyond SERIES_RADIUS iso_entry uses the
+    # Bessel rule, which the tests compare with the oracle, since checking it
+    # here would cost one 2-D quadrature per offset
     worst = 0.0
     for a in range(geometry.m_y):
         for b in range(geometry.m_z):

@@ -22,6 +22,7 @@ from holoest.correlation import (
     quadrature_entry,
 )
 from holoest.coupling import (
+    coupling_model,
     effective_correlation,
     mutual_impedance_echelon,
     mutual_impedance_side_by_side,
@@ -307,6 +308,53 @@ def test_criterion_8_quantitative_gap_targets(sweep_iso, sweep_clu):
             "radius), which the source figure does not pin down",
         )
         assert all(flags), "fallback requires the structural criterion to hold"
+
+
+# Conductivity falls, so the dissipation resistance R_d rises, left to right;
+# 5.8e7 S/m is the default.
+_CONDUCTIVITIES = (5.8e8, 5.8e7, 5.8e6, 5.8e5, 5.8e4)
+
+
+def _mmse_iso_gap_20db(model, r_iso, r_base) -> float:
+    rho = 100.0
+    r_mc = effective_correlation(model, r_base)
+    ignorant = est.analytic_mse(est.mmse_filter(r_iso, rho, est.MMSE_ISO), r_mc)
+    true = est.analytic_mse(est.mmse_filter(r_mc, rho, est.MMSE_TRUE), r_mc)
+    return 10.0 * math.log10(ignorant / true)
+
+
+def test_criterion_8_gap_falls_as_dissipation_resistance_rises(
+    geom_10x10, r_iso_10x10, r_clu_10x10
+):
+    # Backs criterion-8's fallback claim that the high-SNR gap level scales
+    # with R_d: the mmse_iso gap at 20 dB must fall strictly as R_d rises.
+    models = [
+        coupling_model(geom_10x10, r_iso_10x10, conductivity=sigma)
+        for sigma in _CONDUCTIVITIES
+    ]
+    r_d = [model.r_dissipation for model in models]
+    # Re Z + R_d I nears singularity as R_d -> 0
+    cond = [
+        float(np.linalg.cond(model.impedance.real + rd * np.eye(model.size)))
+        for model, rd in zip(models, r_d)
+    ]
+    gaps = {
+        name: [_mmse_iso_gap_20db(model, r_iso_10x10, r_base) for model in models]
+        for name, r_base in (("iso", r_iso_10x10), ("cluster", r_clu_10x10))
+    }
+    ok = all(np.all(np.diff(values) < 0.0) for values in gaps.values())
+    report(
+        "criterion-8 gap vs R_d",
+        ok,
+        f"R_d {', '.join(f'{v:.3g}' for v in r_d)} ohm; "
+        + "; ".join(
+            f"{name} mmse_iso @20dB {', '.join(f'{g:.2f}' for g in values)} dB"
+            for name, values in gaps.items()
+        )
+        + f"; cond(Re Z + R_d I) {', '.join(f'{c:.2e}' for c in cond)}",
+    )
+    assert np.all(np.diff(r_d) > 0.0)
+    assert ok
 
 
 def test_criterion_9_special_functions_and_impedances():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from holoest import correlation
 from holoest.correlation import (
+    SERIES_RADIUS,
     AngularCluster,
     ClusterScenario,
     CovarianceMatrix,
@@ -50,6 +52,55 @@ class TestIsoEntry:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             iso_entry(0.1, 0.1, tol=0.0)
+
+
+class TestBesselRule:
+    """The 1-D Bessel rule that computes isotropic entries beyond SERIES_RADIUS."""
+
+    def test_every_beyond_radius_offset_matches_quadrature(self):
+        geom = UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6)
+        r = iso_matrix(geom)
+        pos = element_positions(geom)
+        signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+        checked = 0
+        for a in range(geom.m_y):
+            for b in range(geom.m_z):
+                if math.hypot(a * geom.d_y, b * geom.d_z) <= SERIES_RADIUS:
+                    continue
+                sy, sz = signs[checked % len(signs)]
+                delta = np.array([0.0, sy * a * geom.d_y, sz * b * geom.d_z])
+                n, j = next(
+                    (n, j)
+                    for n in range(geom.size)
+                    for j in range(geom.size)
+                    if np.allclose(pos[n] - pos[j], delta)
+                )
+                oracle = quadrature_entry(isotropic_scattering, delta).real
+                assert r.entries[n, j] == pytest.approx(oracle, abs=1e-8)
+                assert iso_entry(delta[1], delta[2]) == pytest.approx(oracle, abs=1e-8)
+                checked += 1
+        assert checked == r.meta["quadrature_fallback_pairs"] == 8
+
+    @pytest.mark.parametrize(
+        "dy,dz", [(1.5, 0.0), (0.0, 1.5), (1.06, 1.06), (1.2, 0.89), (0.4, 1.44)]
+    )
+    def test_agrees_with_series_just_inside_radius(self, dy, dz):
+        separation = math.hypot(dy, dz)
+        assert separation <= SERIES_RADIUS
+        rule = correlation._iso_bessel(dy, dz, correlation._bessel_order(separation))
+        assert rule == pytest.approx(iso_entry(dy, dz), abs=1e-10)
+
+    def test_order_grows_with_separation(self):
+        # r ~ 19.8 wavelengths: a fixed order that suffices near the series
+        # radius is off by ~1e-3 here
+        oracle = quadrature_entry(isotropic_scattering, (0.0, 14.0, 14.0)).real
+        assert iso_entry(14.0, 14.0) == pytest.approx(oracle, abs=1e-8)
+
+    def test_doubled_order_gate_raises(self, monkeypatch):
+        monkeypatch.setattr(correlation, "_bessel_order", lambda separation: 8)
+        with pytest.raises(QuadratureError) as err:
+            iso_matrix(UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6))
+        assert err.value.estimate > 1e-8
 
 
 class TestQuadratureEntry:
@@ -113,6 +164,11 @@ class TestIsoMatrix:
 
     def test_dense_array_is_rank_deficient(self, r_iso_10x10):
         assert r_iso_10x10.numerical_rank() < r_iso_10x10.size
+
+    def test_default_array_fallback_count(self, r_iso_10x10):
+        # 48 of the 100 unsigned offsets of the 10x10 default lie beyond
+        # SERIES_RADIUS; perfbench's correlation.iso_fallback_pairs reads this
+        assert r_iso_10x10.meta["quadrature_fallback_pairs"] == 48
 
 
 class TestPsdClamp:
