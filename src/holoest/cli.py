@@ -291,6 +291,8 @@ def _validate_checks(sweep_config, channel):
         )
     )
 
+    # the sweep reports the sum over each filter's modes; this guards that
+    # route against the dense error-covariance trace
     worst_rel = 0.0
     for snr_db in (-10.0, 0.0, 10.0, 20.0):
         rho = 10.0 ** (snr_db / 10.0)

@@ -166,7 +166,12 @@ class CliConfig:
         path = self.get("scenario", "file")
         if path:
             with open(path, "r", encoding="utf-8") as handle:
-                return ClusterScenario.from_dict(json.load(handle))
+                try:
+                    return ClusterScenario.from_dict(json.load(handle))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"{path}: malformed cluster scenario ({type(exc).__name__}: {exc})"
+                    ) from exc
         seed = seed_override if seed_override is not None else self.get("scenario", "seed")
         if seed is None:
             raise ConfigError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .geometry import UpaGeometry, even_separation_matrix, separation_fill
 from .linalg import CovarianceMatrix, psd_clamp
@@ -204,6 +204,8 @@ def quadrature_entry(f, delta_r, opts: QuadratureOptions | None = None) -> compl
     (-pi/2, pi/2) on both axes.  Raises QuadratureError when the error
     estimate exceeds ten times the absolute target.
     """
+    from scipy import integrate  # only this oracle integrates; sweeps never load it
+
     opts = opts or QuadratureOptions()
     dx, dy, dz = (float(c) for c in np.asarray(delta_r, dtype=float))
     domain = (-_HALF_PI, _HALF_PI)

@@ -2,10 +2,11 @@
 
 The estimator family shares one linear structure, estimate = W y, with W
 either the scaled identity (least squares) or the Bayesian filter
-sqrt(rho) Rhat (rho Rhat + I)^-1 built from a prior covariance Rhat.  The
-analytic MSE comes from the error-covariance trace; an equivalent
-eigen-expansion over the bases of W and the channel covariance is provided
-as a second route and is validated against the trace form.
+sqrt(rho) Rhat (rho Rhat + I)^-1 built from a prior covariance Rhat.  Both
+are spectral, W = U diag(g) U^H, and every spec they build carries (U, g).
+The analytic MSE the sweep reports is the sum over those modes
+(``mse_eigen_expansion``); the dense error-covariance trace
+(``analytic_mse``) is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .linalg import (
     CovarianceMatrix,
     hermitian_eig,
     orthonormal_column_basis,
-    principal_subspace,
     spectral_rebuild,
     subspace_contained,
 )
@@ -51,8 +51,9 @@ ESTIMATOR_KINDS = (MMSE_TRUE, MMSE_COUPLING_AWARE_ISO, MMSE_ISO, LS)
 class EstimatorSpec:
     """Estimator kind, its filter matrix W, and the pilot SNR it assumes.
 
-    Filters built spectrally also carry their eigenbasis and per-mode gains,
-    which keeps column-space analysis exact instead of re-factorizing W.
+    ``mmse_filter`` and ``ls_filter`` also store the eigenbasis and per-mode
+    gains, which the analytic MSE and the column-space analysis read instead
+    of re-factorizing W.
     """
 
     kind: str
@@ -66,6 +67,17 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.rho <= 0:
             raise ValueError("pilot SNR must be positive")
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Square eigenbasis and per-mode gains of W.
+
+        The stored pair when the filter was built spectrally; otherwise W is
+        decomposed here, which raises for a non-Hermitian W.
+        """
+        if self.basis is not None and self.gains is not None:
+            return self.basis, self.gains
+        eig = hermitian_eig(self.filter)
+        return eig.basis, eig.values
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -90,10 +102,13 @@ def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> E
 
 
 def ls_filter(rho: float, m: int) -> EstimatorSpec:
-    """Least-squares filter W = I / sqrt(rho)."""
+    """Least-squares filter W = I / sqrt(rho): identity basis, gains 1/sqrt(rho)."""
     if rho <= 0:
         raise ValueError("pilot SNR must be positive")
-    return EstimatorSpec(kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho)
+    gains = np.full(m, 1.0 / np.sqrt(rho))
+    return EstimatorSpec(
+        kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho, basis=np.eye(m), gains=gains
+    )
 
 
 def error_covariance(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> np.ndarray:
@@ -119,21 +134,16 @@ def analytic_mse(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> float:
 
 
 def mse_eigen_expansion(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> float:
-    """MSE via the eigen-expansion over the filter and channel bases.
+    """MSE as a sum over the filter's own modes; the route sweeps report.
 
-    Requires a Hermitian filter (true for the whole estimator family); the
-    trace of error_covariance is the oracle this must agree with.
+    With W = U diag(g) U^H for a square unitary U and b_i = u_i^H R_mc u_i,
+    MSE = sum_i (1 - sqrt(rho) g_i)^2 b_i + g_i^2: one M x M product, no
+    further decomposition.  The trace of error_covariance is its oracle.
     """
-    rho = spec.rho
-    w_eig = hermitian_eig(spec.filter)
-    h_eig = r_mc.eig
-    overlap = np.abs(w_eig.basis.conj().T @ h_eig.basis) ** 2
-    lam_w = w_eig.values
-    lam_h = h_eig.values
-    beta = np.outer(lam_w**2, rho * lam_h + 1.0) - 2.0 * np.sqrt(rho) * np.outer(
-        lam_w, lam_h
-    )
-    return float(np.sum(beta * overlap) + np.sum(lam_h))
+    basis, gains = spec.spectrum()
+    b = np.sum(basis.conj() * (r_mc.entries @ basis), axis=0).real
+    miss = 1.0 - np.sqrt(spec.rho) * gains
+    return float(np.sum(miss * miss * b + gains * gains))
 
 
 def mse_mismatched_beta(lambda_h: float, lambda_w_source: float, rho: float) -> float:
@@ -163,12 +173,9 @@ def verify_column_space(
     expected_factor = np.asarray(expected_factor)
     if expected_factor.shape[0] != spec.filter.shape[0]:
         raise ValueError("expected_factor row count must match the filter")
-    if spec.basis is not None and spec.gains is not None and spec.gains.size:
-        magnitudes = np.abs(spec.gains)
-        keep = magnitudes > DEFAULT_RANK_TOL * magnitudes.max()
-        basis_w = spec.basis[:, keep]
-    else:
-        basis_w = principal_subspace(spec.filter)
+    basis_w, gains = spec.spectrum()
+    magnitudes = np.abs(gains)
+    basis_w = basis_w[:, magnitudes > DEFAULT_RANK_TOL * magnitudes.max(initial=0.0)]
     basis_f = orthonormal_column_basis(expected_factor)
     _, residual = subspace_contained(basis_w, basis_f, tol)
     rng = np.random.default_rng(0)

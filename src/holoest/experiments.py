@@ -290,7 +290,7 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
         filters = {}
         for kind in config.estimators:
             spec = channel.estimator(kind, rho)
-            analytic[(kind, float(snr_db))] = est.analytic_mse(spec, r_mc)
+            analytic[(kind, float(snr_db))] = est.mse_eigen_expansion(spec, r_mc)
             if r_mc_sqrt is not None:
                 filters[kind] = spec.filter
         if filters:

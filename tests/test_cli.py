@@ -1,5 +1,6 @@
 """CLI behavior: config parsing, CSV/SVG emission, exit codes."""
 
+import json
 import math
 import sys
 import warnings
@@ -7,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from holoest import correlation, coupling
+from holoest import correlation, coupling, linalg
 from holoest.cli import main
 from holoest.config import ConfigError, load_config, parse_config
 
@@ -181,6 +182,48 @@ class TestCorrelationCommand:
         assert len(lines) == 1 + 4 * 4
 
 
+_CLUSTER = {"power": 1.0, "azimuth": 0.1, "elevation": -0.2, "sigma_phi": 0.05}
+
+
+class TestScenarioFile:
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            ({"clusters": [_CLUSTER]}, "sigma_theta"),  # a cluster lacks a field
+            ([dict(_CLUSTER, sigma_theta=0.05)], "TypeError"),  # top level is a list
+        ],
+        ids=["missing_key", "top_level_list"],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, content, detail):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(content), encoding="utf-8")
+        path = tmp_path / "cluster.cfg"
+        path.write_text(
+            SMALL + f"scenario.kind = cluster\nscenario.file = {scenario}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "c.csv"
+        code = main(
+            [
+                "--config",
+                str(path),
+                "--quiet",
+                "correlation",
+                "--mode",
+                "cluster",
+                "--out",
+                str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(scenario) in lines[0] and detail in lines[0]
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_csv_schema_and_ls_rows(self, small_cfg, tmp_path):
         out_dir = tmp_path / "out"
@@ -243,6 +286,13 @@ class TestValidateCommand:
         assert main(["--config", small_cfg, "--quiet", "validate"]) == 0
         assert len(iso_calls) == 1
         assert len(coupled_calls) == 1
+
+    def test_filters_not_decomposed_again(self, small_cfg, monkeypatch):
+        # R_iso's clamp and the coupling model's Re Z + R_d I; every filter
+        # carries its own spectrum, so none is decomposed again
+        eig_calls = count_calls(monkeypatch, linalg.hermitian_eig)
+        assert main(["--config", small_cfg, "--quiet", "validate"]) == 0
+        assert len(eig_calls) == 2
 
     def test_corrupted_series_tolerance_fails(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

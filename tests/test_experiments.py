@@ -189,6 +189,28 @@ class TestBuildChannel:
         assert channel.r_hat_aware.meta["source_kind"] == "isotropic"
         assert channel.r_mc.meta["source_kind"] == "cluster"
 
+    @pytest.mark.parametrize("scenario", ["isotropic", "cluster"])
+    def test_rows_match_trace_oracle(self, geom_4x4, geom_2x2, monkeypatch, scenario):
+        if scenario == "isotropic":
+            config = SweepConfig(geometry=geom_4x4, mc_trials=0)
+        else:
+            config = SweepConfig(
+                geometry=geom_2x2, scenario=default_cluster_scenario(3), mc_trials=0
+            )
+        channel = build_channel(config)
+        oracle = est.analytic_mse
+
+        def not_in_sweep(*args):
+            raise AssertionError("run_sweep called the trace-form oracle")
+
+        monkeypatch.setattr(est, "analytic_mse", not_in_sweep)
+        result = run_sweep(config, channel)
+        monkeypatch.undo()
+        for row in result.rows:
+            rho = 10.0 ** (row.snr_db / 10.0)
+            expected = oracle(channel.estimator(row.estimator, rho), channel.r_mc)
+            assert row.analytic_mse == pytest.approx(expected, rel=1e-12)
+
     def test_channel_from_other_config_rejected(self, geom_4x4, geom_4x4_quarter):
         channel = build_channel(SweepConfig(geometry=geom_4x4_quarter, mc_trials=0))
         with pytest.raises(ValueError):
