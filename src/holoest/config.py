@@ -1,8 +1,9 @@
 """Line-oriented configuration files: ``section.key = value``.
 
-Plain text with ``#`` comments; unknown sections or keys are rejected with the
-offending line number so scenario files stay diffable and typo-proof.  All
-physical quantities carry their units in REFERENCE_CONFIG.
+Plain text with ``#`` comments; unknown sections or keys, and numbers that
+are not finite, are rejected with the offending line number so scenario files
+stay diffable and typo-proof.  All physical quantities carry their units in
+REFERENCE_CONFIG.
 """
 
 from __future__ import annotations
@@ -65,19 +66,26 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_snr_grid(raw: str) -> tuple[float, ...]:
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ValueError("grid must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_parse_float(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ValueError("empty SNR grid")
         return tuple(start + i * step for i in range(count))
-    return tuple(float(p) for p in raw.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in raw.split(",") if p.strip())
 
 
 def _parse_estimators(raw: str) -> tuple[str, ...]:
@@ -95,21 +103,21 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "geometry": {
         "m_y": (int, 10),
         "m_z": (int, 10),
-        "d_y": (float, 0.2),
-        "d_z": (float, 0.2),
-        "dipole_length": (float, 0.5),
-        "dipole_radius": (float, 0.002),
+        "d_y": (_parse_float, 0.2),
+        "d_z": (_parse_float, 0.2),
+        "dipole_length": (_parse_float, 0.5),
+        "dipole_radius": (_parse_float, 0.002),
     },
     "coupling": {
-        "frequency": (float, 3.0e9),
-        "conductivity": (float, 5.8e7),
+        "frequency": (_parse_float, 3.0e9),
+        "conductivity": (_parse_float, 5.8e7),
         "use_full_impedance": (_parse_bool, False),
     },
     "scenario": {
         "kind": (str, "isotropic"),
         "file": (str, ""),
         "seed": (int, None),
-        "series_tol": (float, 1e-12),
+        "series_tol": (_parse_float, 1e-12),
     },
     "sweep": {
         "snr_db": (_parse_snr_grid, tuple(range(-10, 25, 2))),

@@ -9,7 +9,8 @@ Three construction routes:
 * a generic adaptive 2-D quadrature of the scattering integral, used as the
   independent oracle for everything else,
 * a clustered non-isotropic model integrated per cluster on panel-refined
-  Gauss-Legendre grids tuned to each cluster's angular support.
+  Gauss-Legendre grids tuned to each cluster's angular support, with the 2-D
+  sum factorized: one azimuth sum per y-step, then one matmul over z-steps.
 
 Angular convention throughout: a scattering function is ``f(azimuth,
 elevation)`` on the front half-space (-pi/2, pi/2) x (-pi/2, pi/2), and the
@@ -472,60 +473,60 @@ def total_scattering(scenario: ClusterScenario, azimuth, elevation):
     return out
 
 
-def _cluster_separation_values(
-    scenario: ClusterScenario,
-    n: int,
-    dy: np.ndarray,
-    dz: np.ndarray,
-    order: int,
+def _cluster_offset_table(
+    scenario: ClusterScenario, n: int, geometry: UpaGeometry, order: int
 ) -> np.ndarray:
-    """Integrals of cluster n against exp(j k . dr) for all separations."""
-    c = scenario.clusters[n]
+    """Integrals of cluster n against exp(j k . dr) on the step grid.
+
+    Entry [a, b + Mz - 1] is the integral for the offset (a d_y, b d_z), for
+    y-steps a = 0..My-1 and every signed z-step b.  The phase factorizes as
+    z^a exp(j 2 pi b d_z sin v) with z = exp(j 2 pi d_y sin u cos v), so the
+    azimuth sum runs once per y-step on powers of z (one exp per node), and a
+    single matmul against the elevation phases covers every z-step.
+    """
+    ny, nz = geometry.m_y, geometry.m_z
     scale = scenario.cluster_scale(n)
     if scale == 0.0:
-        return np.zeros(dy.shape, dtype=complex)
-    u, wu, v, wv = _cluster_axis_data(c, order)
-    ky = (np.sin(u)[:, None] * np.cos(v)[None, :]).ravel()
-    kz = np.broadcast_to(np.sin(v)[None, :], (u.size, v.size)).ravel()
-    w = (wu[:, None] * wv[None, :]).ravel()
-    values = np.zeros(dy.shape, dtype=complex)
-    flat_dy = dy.ravel()
-    flat_dz = dz.ravel()
-    chunk = max(1, int(2e6) // max(1, flat_dy.size))
-    for start in range(0, w.size, chunk):
-        sl = slice(start, start + chunk)
-        phase = 2.0 * math.pi * (
-            flat_dy[:, None] * ky[None, sl] + flat_dz[:, None] * kz[None, sl]
-        )
-        values += (np.exp(1j * phase) @ w[sl]).reshape(dy.shape)
-    return scale * values
+        return np.zeros((ny, 2 * nz - 1), dtype=complex)
+    u, wu, v, wv = _cluster_axis_data(scenario.clusters[n], order)
+    step = np.exp(2j * math.pi * geometry.d_y * np.sin(u)[:, None] * np.cos(v)[None, :])
+    power = np.ones_like(step)
+    azimuth_sums = np.empty((ny, v.size), dtype=complex)
+    for a in range(ny):
+        azimuth_sums[a] = wu @ power
+        power *= step
+    steps_z = np.arange(1 - nz, nz)
+    elevation_phase = np.exp(
+        2j * math.pi * geometry.d_z * np.sin(v)[:, None] * steps_z[None, :]
+    )
+    return scale * ((azimuth_sums * wv) @ elevation_phase)
 
 
 def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> CovarianceMatrix:
     """Non-isotropic spatial correlation: per-cluster integrals, summed.
 
-    Each cluster is integrated on its own panel-refined Gauss-Legendre grid;
-    a doubled-order pass provides the error estimate.  Entries depend only on
-    element separations, so the integrals run once per unique offset.
+    Each cluster is integrated on its own panel-refined Gauss-Legendre grid,
+    sum-factorized over the two axes (``_cluster_offset_table``): the cost is
+    one azimuth table per cluster, not one product-grid sum per offset.
+    Entries depend only on element separations; the half-plane of offsets is
+    kept and the rest mirrored by conjugation.  A doubled-order pass over
+    that half-plane provides the error estimate.
     """
     ny, nz = geometry.m_y, geometry.m_z
-    steps_y, steps_z = np.meshgrid(
-        np.arange(-ny + 1, ny), np.arange(-nz + 1, nz), indexing="ij"
-    )
-    # conj(value(-dy, -dz)) = value(dy, dz) exactly, so integrate half the grid
-    half = (steps_y > 0) | ((steps_y == 0) & (steps_z >= 0))
+    steps_y, steps_z = np.meshgrid(np.arange(ny), np.arange(1 - nz, nz), indexing="ij")
+    # conj(value(-dy, -dz)) = value(dy, dz) exactly, so keep half the grid:
+    # every y-step a > 0, and the z-steps b >= 0 at a = 0
+    half = (steps_y > 0) | (steps_z >= 0)
     a, b = steps_y[half], steps_z[half]
-    dy_half = a * geometry.d_y
-    dz_half = b * geometry.d_z
 
-    vals_base = sum(
-        _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_BASE)
-        for n in range(len(scenario.clusters))
-    )
-    vals_refined = sum(
-        _cluster_separation_values(scenario, n, dy_half, dz_half, _GL_ORDER_REFINED)
-        for n in range(len(scenario.clusters))
-    )
+    def half_plane_values(order: int) -> np.ndarray:
+        return sum(
+            _cluster_offset_table(scenario, n, geometry, order)
+            for n in range(len(scenario.clusters))
+        )[half]
+
+    vals_base = half_plane_values(_GL_ORDER_BASE)
+    vals_refined = half_plane_values(_GL_ORDER_REFINED)
     err = float(np.abs(vals_base - vals_refined).max())
     if err > _QUADRATURE_ERROR_LIMIT:
         raise QuadratureError(

@@ -101,6 +101,36 @@ class TestConfigParsing:
         config = parse_config("sweep.snr_db = 1, 3, 7\n")
         assert config.get("sweep", "snr_db") == (1.0, 3.0, 7.0)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, template",
+        [
+            ("geometry.d_y", "{}"),
+            ("geometry.d_z", "{}"),
+            ("geometry.dipole_length", "{}"),
+            ("geometry.dipole_radius", "{}"),
+            ("coupling.frequency", "{}"),
+            ("coupling.conductivity", "{}"),
+            ("scenario.series_tol", "{}"),
+            ("sweep.snr_db", "-4, {}, 8"),
+            ("sweep.snr_db", "{}:2:4"),
+            ("sweep.snr_db", "-4:{}:4"),
+            ("sweep.snr_db", "-4:2:{}"),
+        ],
+        ids=lambda p: p.replace("{}", "x").replace(", ", ","),
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, template, bad):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"geometry.m_y = 2\n{key} = {template.format(bad)}\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{path}:2" in lines[0] and key in lines[0]
+        assert not out_dir.exists()
+
     def test_defaults_without_file(self):
         config = load_config(None)
         assert config.geometry().m_y == 10

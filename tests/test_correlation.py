@@ -23,6 +23,7 @@ from holoest.correlation import (
     quadrature_entry,
     total_scattering,
 )
+from holoest.experiments import default_cluster_scenario
 from holoest.geometry import Direction, UpaGeometry, array_response, element_positions
 from holoest.linalg import principal_subspace, subspace_contained
 
@@ -315,6 +316,77 @@ class TestClusterMatrix:
             for n, j in pairs:
                 oracle = quadrature_entry(density, pos[n] - pos[j], opts)
                 assert r.entries[n, j] == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "geometry, clusters",
+        [
+            (
+                UpaGeometry(m_y=3, m_z=5, d_y=0.3, d_z=0.45),
+                (narrow_cluster(), narrow_cluster(3.0, 0.6)),
+            ),
+            (
+                UpaGeometry(m_y=3, m_z=3, d_y=0.2, d_z=0.2),
+                (
+                    AngularCluster(
+                        power=1.0,
+                        azimuth=1.5,
+                        elevation=-0.2,
+                        sigma_phi=math.radians(2.0),
+                        sigma_theta=math.radians(2.0),
+                    ),
+                ),
+            ),
+        ],
+        ids=["3x5_two_clusters", "azimuth_image_window"],
+    )
+    def test_entries_match_product_grid(self, monkeypatch, geometry, clusters):
+        # Oracle: the direct sum over the full (u, v) node grid of each cluster
+        # at the refined order, at every pair's offset, against the entries
+        # cluster_matrix hands to the clamp.
+        scenario = ClusterScenario.create(clusters)
+        captured = []
+        original_clamp = correlation.psd_clamp
+
+        def capture(entries, **kwargs):
+            captured.append(entries.copy())
+            return original_clamp(entries, **kwargs)
+
+        monkeypatch.setattr(correlation, "psd_clamp", capture)
+        cluster_matrix(geometry, scenario)
+        (entries,) = captured
+
+        pos = element_positions(geometry)
+        offsets, pair_offset = np.unique(
+            (pos[:, None, :] - pos[None, :, :]).reshape(-1, 3), axis=0, return_inverse=True
+        )
+        values = np.zeros(len(offsets), dtype=complex)
+        for n, cluster in enumerate(scenario.clusters):
+            u, wu, v, wv = correlation._cluster_axis_data(
+                cluster, correlation._GL_ORDER_REFINED
+            )
+            ky = np.outer(np.sin(u), np.cos(v))
+            kz = np.broadcast_to(np.sin(v), ky.shape)
+            weights = np.outer(wu, wv)
+            for i, (_, dy, dz) in enumerate(offsets):
+                phase = 2.0 * math.pi * (dy * ky + dz * kz)
+                values[i] += scenario.cluster_scale(n) * np.sum(weights * np.exp(1j * phase))
+        oracle = values[pair_offset.ravel()].reshape(entries.shape)
+        scale = np.abs(oracle).max()
+        assert np.abs(entries - oracle).max() <= 1e-13 * scale
+
+    def test_azimuth_near_edge_has_image_window(self):
+        # the image of a peak at 1.5 rad one period away reaches into the
+        # domain, so the product-grid comparison above covers that branch
+        kappa = 1.0 / (4.0 * math.radians(2.0) ** 2)
+        windows = correlation._axis_windows(1.5, kappa, -math.pi / 2, math.pi / 2)
+        assert [center for _, _, center in windows] == [1.5 - math.pi, 1.5]
+
+    def test_doubled_order_gate_raises(self, monkeypatch, geom_4x4):
+        scenario = default_cluster_scenario(1)
+        monkeypatch.setattr(correlation, "_GL_ORDER_BASE", 4)
+        with pytest.raises(QuadratureError) as err:
+            cluster_matrix(geom_4x4, scenario)
+        assert err.value.estimate > 1e-8
 
     def test_cluster_rank_below_iso_rank(self, r_clu_10x10, r_iso_10x10):
         assert r_clu_10x10.numerical_rank() < r_iso_10x10.numerical_rank()
