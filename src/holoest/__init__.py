@@ -52,7 +52,7 @@ from .experiments import (
     gap_report,
     run_sweep,
 )
-from .geometry import Direction, UpaGeometry, array_response, element_position, wave_vector
+from .geometry import Direction, UpaGeometry, array_response
 from .linalg import (
     CovarianceMatrix,
     Eigendecomposition,

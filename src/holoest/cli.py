@@ -392,6 +392,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
         config = load_config(args.config)
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning  # one line each, like the errors below

@@ -73,6 +73,16 @@ def _parse_float(raw: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_snr_grid(raw: str) -> tuple[float, ...]:
     if ":" in raw:
         parts = raw.split(":")
@@ -116,18 +126,18 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "scenario": {
         "kind": (str, "isotropic"),
         "file": (str, ""),
-        "seed": (int, None),
+        "seed": (_int_at_least(0), None),
         "series_tol": (_parse_float, 1e-12),
     },
     "sweep": {
         "snr_db": (_parse_snr_grid, tuple(range(-10, 25, 2))),
         "mc_trials": (int, 10_000),
         "estimators": (_parse_estimators, est.ESTIMATOR_KINDS),
-        "base_seed": (int, 20240605),
+        "base_seed": (_int_at_least(0), 20240605),
         "validation_mode": (_parse_bool, False),
     },
     "output": {
-        "precision": (int, 17),
+        "precision": (_int_at_least(1), 17),
     },
 }
 

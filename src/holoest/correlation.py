@@ -154,14 +154,14 @@ def iso_entry(dy_norm: float, dz_norm: float, tol: float = 1e-12) -> float:
     two differ by more than 1e-8.  ``quadrature_entry`` stays the
     independent 2-D oracle for both routes.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     return _iso_entry_impl(dy_norm, dz_norm, tol)[0]
 
 
 def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
     """Isotropic spatial correlation matrix of the array (real symmetric)."""
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     fallbacks = 0
 

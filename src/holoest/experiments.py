@@ -56,6 +56,12 @@ class CouplingConfig:
     conductivity: float = 5.8e7
     use_full_impedance: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("frequency", "conductivity"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -76,6 +82,8 @@ class SweepConfig:
             raise ValueError("scenario must be 'isotropic' or a ClusterScenario")
         if len(self.snr_grid_db) == 0:
             raise ValueError("SNR grid must be nonempty")
+        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
+            raise ValueError("SNR grid points must be finite")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ValueError("SNR grid must be sorted ascending")
         if self.mc_trials != 0 and self.mc_trials < 100:
@@ -83,6 +91,8 @@ class SweepConfig:
         for kind in self.estimators:
             if kind not in est.ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator kind {kind!r}")
+        if not (self.series_tol > 0 and math.isfinite(self.series_tol)):
+            raise ValueError("series_tol must be positive and finite")
 
 
 class ValidationFailure(RuntimeError):

@@ -7,6 +7,7 @@ per-offset values by ``separation_fill`` or ``even_separation_matrix``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,9 @@ __all__ = [
     "DEFAULT_FREQUENCY",
     "UpaGeometry",
     "Direction",
-    "element_position",
     "element_positions",
     "separation_fill",
     "even_separation_matrix",
-    "wave_vector",
     "array_response",
 ]
 
@@ -33,7 +32,7 @@ class UpaGeometry:
     """Regular grid of z-directed thin dipoles in the yz-plane.
 
     Spacings and dipole dimensions are in wavelengths; ``wavelength`` (meters)
-    enters only where an absolute scale is needed (wave vectors in rad/m).
+    is recorded in sweep metadata, and no computation reads it.
     Element 0 sits at the origin and indexing runs along z first, then y.
     """
 
@@ -49,20 +48,15 @@ class UpaGeometry:
         if self.m_y < 1 or self.m_z < 1:
             raise ValueError("element counts must be positive")
         for name in ("d_y", "d_z", "wavelength", "dipole_length", "dipole_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.dipole_radius >= self.dipole_length / 10.0:
             raise ValueError("thin-dipole regime requires radius < length/10")
 
     @property
     def size(self) -> int:
         return self.m_y * self.m_z
-
-    def row_column(self, m: int) -> tuple[int, int]:
-        """(y-index, z-index) of element m, 0-based."""
-        if not 0 <= m < self.size:
-            raise IndexError(f"element index {m} outside 0..{self.size - 1}")
-        return m // self.m_z, m % self.m_z
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,6 @@ class Direction:
             raise ValueError("azimuth must lie in (-pi/2, pi/2)")
         if not (-half < self.elevation < half):
             raise ValueError("elevation must lie in (-pi/2, pi/2)")
-
-
-def element_position(geometry: UpaGeometry, m: int) -> np.ndarray:
-    """Position of element m as (x, y, z) in wavelength units."""
-    ry, rz = geometry.row_column(m)
-    return np.array([0.0, ry * geometry.d_y, rz * geometry.d_z])
 
 
 def _grid_indices(geometry: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -128,16 +116,6 @@ def even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
     iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
     iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
     return separation_fill(geometry, unsigned[np.ix_(iy, iz)])
-
-
-def wave_vector(direction: Direction, wavelength: float) -> np.ndarray:
-    """Plane-wave vector in rad/m; Euclidean norm is 2 pi / wavelength."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    az, el = direction.azimuth, direction.elevation
-    return (2.0 * np.pi / wavelength) * np.array(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)]
-    )
 
 
 def array_response(geometry: UpaGeometry, direction: Direction) -> np.ndarray:

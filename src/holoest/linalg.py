@@ -125,31 +125,17 @@ def _normalize_phases(basis: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(a) -> Eigendecomposition:
-    """Eigendecomposition of a Hermitian matrix, deterministically ordered.
+    """Eigendecomposition of a Hermitian matrix, values nonincreasing.
 
-    Values are nonincreasing; eigenvectors are phase-normalized and, within
-    groups of (numerically) equal eigenvalues, sorted lexicographically so the
-    output is stable across repeated runs.
+    Eigenvectors are phase-normalized.  Inside a group of (numerically) equal
+    eigenvalues the basis is whichever one ``eigh`` returns: repeated calls on
+    the same input give the same columns, and nothing downstream (filters,
+    MSE, square roots, ranks, projectors) depends on the choice.
     """
     arr = _require_hermitian(_as_square(a))
     values, basis = np.linalg.eigh(arr)
     values = values[::-1].copy()
     basis = _normalize_phases(basis[:, ::-1])
-    # Lexicographic tie-break inside degenerate groups.
-    scale = max(1.0, abs(values[0])) if values.size else 1.0
-    j = 0
-    while j < values.size:
-        k = j
-        while k + 1 < values.size and abs(values[k + 1] - values[j]) <= 1e-12 * scale:
-            k += 1
-        if k > j:
-            keys = [
-                tuple(np.round(np.concatenate([basis[:, c].real, basis[:, c].imag]), 10))
-                for c in range(j, k + 1)
-            ]
-            order = sorted(range(k - j + 1), key=lambda i: keys[i])
-            basis[:, j : k + 1] = basis[:, [j + i for i in order]]
-        j = k + 1
     return Eigendecomposition(basis=basis, values=values)
 
 

@@ -1,15 +1,19 @@
 """Sine/cosine integrals and log-domain series coefficients.
 
-The impedance closed forms consume Si/Ci at arguments up to a few hundred,
-and the isotropic-correlation series needs its coefficients evaluated far
-past the point where the factorials involved overflow a double.  Both are
-scalar, pure functions.
+The impedance closed forms consume Si/Ci at arguments up to a few hundred;
+``sin_integral`` and ``cos_integral`` are scalar wrappers over
+``scipy.special.sici`` that reject arguments outside the real domain.  The
+isotropic-correlation series needs its coefficients evaluated far past the
+point where the factorials involved overflow a double.  All are pure
+functions.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+from scipy.special import sici
 
 __all__ = [
     "EULER_GAMMA",
@@ -25,71 +29,19 @@ EULER_GAMMA = 0.5772156649015328606
 # Peak directivity of a thin half-wave dipole in the cos^3 pattern model.
 DIPOLE_DIRECTIVITY = 1.67
 
-# Branch switch for Si/Ci.  At the seam both branches agree to ~1e-14: the
-# power series still has all intermediate terms below ~1e2 and the continued
-# fraction already converges in a few dozen iterations.
-_SERIES_CUTOFF = 6.0
-_CF_MAX_ITER = 400
-
-
-def _si_ci_series(x: float) -> tuple[float, float]:
-    """Maclaurin sums: returns (Si(x), Ci(x) - gamma - ln x) for 0 <= x <= cutoff."""
-    x2 = x * x
-    si = x
-    sin_term = x  # x^(2n+1)/(2n+1)!
-    ci = 0.0
-    cos_term = 1.0  # x^(2n)/(2n)!
-    for n in range(1, 120):
-        cos_term *= -x2 / ((2 * n - 1) * (2 * n))
-        ci += cos_term / (2 * n)
-        sin_term *= -x2 / ((2 * n) * (2 * n + 1))
-        si += sin_term / (2 * n + 1)
-        if abs(sin_term) < 1e-17 * abs(si) + 1e-300 and abs(cos_term) < 1e-17:
-            break
-    return si, ci
-
-
-def _si_ci_continued_fraction(x: float) -> tuple[float, float]:
-    """Lentz evaluation of the exponential-integral continued fraction at ix.
-
-    Valid for x above ~2; used beyond the series cutoff.  Returns (Si, Ci).
-    """
-    b = complex(1.0, x)
-    c = complex(1e308, 0.0)
-    d = 1.0 / b
-    h = d
-    for i in range(2, _CF_MAX_ITER):
-        a = -((i - 1) ** 2)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta.real - 1.0) + abs(delta.imag) < 1e-16:
-            break
-    h *= complex(math.cos(x), -math.sin(x))
-    return math.pi / 2 + h.imag, -h.real
-
 
 def sin_integral(x: float) -> float:
     """Si(x) = integral of sin(t)/t from 0 to x.  Odd in x."""
     if not math.isfinite(x):
         raise ValueError("sin_integral requires finite x")
-    ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        value = _si_ci_series(ax)[0]
-    else:
-        value = _si_ci_continued_fraction(ax)[0]
-    return -value if x < 0 else value
+    return float(sici(x)[0])
 
 
 def cos_integral(x: float) -> float:
-    """Ci(x) = -integral of cos(t)/t from x to infinity, for x > 0."""
-    if not (x > 0):
-        raise ValueError("cos_integral requires x > 0")
-    if x <= _SERIES_CUTOFF:
-        return EULER_GAMMA + math.log(x) + _si_ci_series(x)[1]
-    return _si_ci_continued_fraction(x)[1]
+    """Ci(x) = -integral of cos(t)/t from x to infinity, for finite x > 0."""
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError("cos_integral requires finite x > 0")
+    return float(sici(x)[1])
 
 
 def _log_binomial(n: int, r: int) -> float:

@@ -131,6 +131,27 @@ class TestConfigParsing:
         assert f"{path}:2" in lines[0] and key in lines[0]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("output.precision", "0"),
+            ("output.precision", "-1"),
+            ("sweep.base_seed", "-1"),
+            ("scenario.seed", "-1"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_integer_rejected(self, tmp_path, capsys, key, value):
+        flags = ["--seed", value] if key == "--seed" else []
+        path = tmp_path / "bad.cfg"
+        path.write_text("geometry.m_y = 2\n" + ("" if flags else f"{key} = {value}\n"))
+        out_dir = tmp_path / "out"
+        code = main(flags + ["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+        assert not out_dir.exists()
+
     def test_defaults_without_file(self):
         config = load_config(None)
         assert config.geometry().m_y == 10

@@ -51,8 +51,9 @@ class TestIsoEntry:
         assert value == pytest.approx(oracle.real, abs=1e-8)
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            iso_entry(0.1, 0.1, tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                iso_entry(0.1, 0.1, tol=tol)
 
 
 class TestBesselRule:

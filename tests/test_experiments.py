@@ -18,6 +18,7 @@ from holoest.experiments import (
     gap_report,
     run_sweep,
 )
+from holoest.geometry import UpaGeometry
 
 pytestmark = pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
 
@@ -62,6 +63,30 @@ class TestSweepConfigValidation:
     def test_rejects_unknown_scenario_string(self, geom_4x4):
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, scenario="urban")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: UpaGeometry(2, 2, d_y=math.nan, d_z=0.2),
+            lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=math.inf),
+            lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, wavelength=math.nan),
+            lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, dipole_length=math.inf),
+            lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, dipole_radius=math.nan),
+            lambda g: CouplingConfig(frequency=-1.0),
+            lambda g: CouplingConfig(frequency=0.0),
+            lambda g: CouplingConfig(frequency=math.nan),
+            lambda g: CouplingConfig(conductivity=0.0),
+            lambda g: CouplingConfig(conductivity=math.inf),
+            lambda g: SweepConfig(geometry=g, snr_grid_db=(math.nan,)),
+            lambda g: SweepConfig(geometry=g, snr_grid_db=(0.0, math.inf)),
+            lambda g: SweepConfig(geometry=g, series_tol=math.nan),
+            lambda g: SweepConfig(geometry=g, series_tol=0.0),
+            lambda g: SweepConfig(geometry=g, series_tol=math.inf),
+        ],
+    )
+    def test_rejects_value_outside_domain(self, geom_4x4, build):
+        with pytest.raises(ValueError):
+            build(geom_4x4)
 
 
 @pytest.fixture(scope="module")

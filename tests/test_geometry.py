@@ -1,4 +1,4 @@
-"""Array geometry, the separation layout, wave vectors, and the plane-wave response."""
+"""Array geometry, the separation layout, and the plane-wave response."""
 
 import math
 
@@ -17,37 +17,28 @@ from holoest.geometry import (
     Direction,
     UpaGeometry,
     array_response,
-    element_position,
     element_positions,
     even_separation_matrix,
-    wave_vector,
 )
 
 
 def test_first_element_at_origin():
     geom = UpaGeometry(m_y=3, m_z=5, d_y=0.3, d_z=0.4)
-    assert np.array_equal(element_position(geom, 0), np.zeros(3))
+    assert np.array_equal(element_positions(geom)[0], np.zeros(3))
 
 
 def test_row_by_row_indexing():
     geom = UpaGeometry(m_y=10, m_z=10, d_y=0.2, d_z=0.2)
-    assert np.allclose(element_position(geom, 10), [0.0, 0.2, 0.0])
+    pos = element_positions(geom)
+    assert np.allclose(pos[10], [0.0, 0.2, 0.0])
     # r_y = floor(23/10) = 2, r_z = 23 mod 10 = 3
-    assert np.allclose(element_position(geom, 23), [0.0, 0.4, 0.6])
+    assert np.allclose(pos[23], [0.0, 0.4, 0.6])
 
 
 def test_positions_injective():
     geom = UpaGeometry(m_y=4, m_z=3, d_y=0.2, d_z=0.2)
     pos = element_positions(geom)
     assert len({tuple(p) for p in pos.round(12)}) == geom.size
-
-
-def test_index_out_of_range():
-    geom = UpaGeometry(m_y=2, m_z=2, d_y=0.5, d_z=0.5)
-    with pytest.raises(IndexError):
-        element_position(geom, 4)
-    with pytest.raises(IndexError):
-        element_position(geom, -1)
 
 
 def test_geometry_validation():
@@ -65,23 +56,6 @@ def test_direction_validation():
         Direction(azimuth=math.pi / 2, elevation=0.0)
     with pytest.raises(ValueError):
         Direction(azimuth=0.0, elevation=-math.pi / 2)
-
-
-def test_wave_vector_broadside():
-    k = wave_vector(Direction(0.0, 0.0), wavelength=1.0)
-    assert np.allclose(k, [2 * math.pi, 0.0, 0.0])
-
-
-def test_wave_vector_zenith_limit():
-    lam = 0.5
-    k = wave_vector(Direction(0.0, math.pi / 2 - 1e-9), wavelength=lam)
-    assert abs(k[0]) < 1e-6
-    assert k[2] == pytest.approx(2 * math.pi / lam, rel=1e-9)
-
-
-def test_wave_vector_norm():
-    k = wave_vector(Direction(math.pi / 4, math.pi / 6), wavelength=0.1)
-    assert np.linalg.norm(k) == pytest.approx(20 * math.pi, abs=1e-12)
 
 
 def test_array_response_broadside_all_ones():

@@ -62,15 +62,16 @@ def test_ci_large_argument_decays():
 
 
 def test_ci_domain_errors():
-    with pytest.raises(ValueError):
-        cos_integral(0.0)
-    with pytest.raises(ValueError):
-        cos_integral(-1.0)
+    # scipy's sici returns 0.0 at +inf, so the wrapper must reject it itself
+    for x in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cos_integral(x)
 
 
 def test_si_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sin_integral(float("inf"))
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sin_integral(x)
 
 
 @given(st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False))
@@ -85,16 +86,6 @@ def test_derivative_identities(x):
     dci = (cos_integral(x + h) - cos_integral(x - h)) / (2 * h)
     assert dsi == pytest.approx(math.sin(x) / x, abs=1e-6)
     assert dci == pytest.approx(math.cos(x) / x, abs=1e-6)
-
-
-@pytest.mark.parametrize("x", [5.9, 5.95, 6.0, 6.05, 6.1])
-def test_branch_seam_agreement(x):
-    from holoest.special import _si_ci_continued_fraction, _si_ci_series
-
-    si_series, ci_sum = _si_ci_series(x)
-    si_cf, ci_cf = _si_ci_continued_fraction(x)
-    assert si_series == pytest.approx(si_cf, abs=1e-10)
-    assert EULER_GAMMA + math.log(x) + ci_sum == pytest.approx(ci_cf, abs=1e-10)
 
 
 @pytest.mark.parametrize("x", np.geomspace(0.01, 1000.0, 40).tolist())
