@@ -48,6 +48,7 @@ _DEFAULT_CLUSTER_COUNT = 20
 _DEFAULT_SIGMA_DEG = 2.0
 
 _MC_CHUNK = 2048
+_MC_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -250,24 +251,52 @@ def _mc_cell(
     trials: int,
     base_seed: int,
 ) -> dict[str, tuple[float, float]]:
-    """Empirical squared-error mean and standard error per estimator."""
+    """Empirical squared-error mean and standard error per estimator.
+
+    Trial t draws its 4M standard normals from ``_trial_rng(base_seed,
+    snr_index, t)`` in one call, in the order iid real, iid imaginary, noise
+    real, noise imaginary: the stream two ``complex_normal(rng, M)`` calls
+    consume.  Trials are drawn ``_MC_BLOCK`` at a time into one block buffer
+    and their squared errors are summed per ``_MC_CHUNK``; all M x chunk
+    arrays live in a few buffers reused across chunks and estimators.
+    """
     m = r_mc_sqrt.shape[0]
     sums = {kind: 0.0 for kind in filters}
     sq_sums = {kind: 0.0 for kind in filters}
     sqrt_rho = math.sqrt(rho)
+    width = min(_MC_CHUNK, trials)
+    draws = np.empty((_MC_BLOCK, 4 * m))
+    # flat buffers, so a short last chunk is still a C-contiguous (m, count)
+    # array and every product and reduction sees the same layout
+    flat = [np.empty(m * width, dtype=complex) for _ in range(3)]
+    flat_sq = np.empty(m * width)
     for start in range(0, trials, _MC_CHUNK):
         count = min(_MC_CHUNK, trials - start)
-        iid = np.empty((m, count), dtype=complex)
-        noise = np.empty((m, count), dtype=complex)
-        for j in range(count):
-            rng = _trial_rng(base_seed, snr_index, start + j)
-            iid[:, j] = est.complex_normal(rng, m)
-            noise[:, j] = est.complex_normal(rng, m)
-        h = r_mc_sqrt @ iid
-        y = sqrt_rho * h + noise
+        work, noise, h = (buf[: m * count].reshape(m, count) for buf in flat)
+        sq_err = flat_sq[: m * count].reshape(m, count)
+        for lo in range(0, count, _MC_BLOCK):
+            n = min(_MC_BLOCK, count - lo)
+            for j in range(n):
+                _trial_rng(base_seed, snr_index, start + lo + j).standard_normal(
+                    out=draws[j]
+                )
+            block = draws[:n].T
+            work.real[:, lo : lo + n] = block[:m]
+            work.imag[:, lo : lo + n] = block[m : 2 * m]
+            noise.real[:, lo : lo + n] = block[2 * m : 3 * m]
+            noise.imag[:, lo : lo + n] = block[3 * m :]
+        # (re + 1j*im) / sqrt(2) bit for bit; ``work`` holds the iid draws,
+        # then sqrt(rho) h, then each estimator's error
+        work /= np.sqrt(2.0)
+        noise /= np.sqrt(2.0)
+        np.matmul(r_mc_sqrt, work, out=h)
+        np.multiply(h, sqrt_rho, out=work)
+        y = np.add(noise, work, out=noise)  # IEEE addition commutes
         for kind, w in filters.items():
-            err = h - w @ y
-            sq = np.sum(np.abs(err) ** 2, axis=0)
+            err = np.subtract(h, np.matmul(w, y, out=work), out=work)
+            np.abs(err, out=sq_err)
+            np.square(sq_err, out=sq_err)
+            sq = np.sum(sq_err, axis=0)
             sums[kind] += float(np.sum(sq))
             sq_sums[kind] += float(np.sum(sq * sq))
     out = {}
@@ -353,7 +382,6 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
             "m_z": geometry.m_z,
             "d_y": geometry.d_y,
             "d_z": geometry.d_z,
-            "wavelength": geometry.wavelength,
             "dipole_length": geometry.dipole_length,
             "dipole_radius": geometry.dipole_radius,
         },

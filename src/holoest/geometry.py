@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "DEFAULT_FREQUENCY",
     "UpaGeometry",
     "Direction",
     "element_positions",
@@ -23,31 +21,26 @@ __all__ = [
     "array_response",
 ]
 
-SPEED_OF_LIGHT = 299792458.0
-DEFAULT_FREQUENCY = 3.0e9
-
-
 @dataclass(frozen=True)
 class UpaGeometry:
     """Regular grid of z-directed thin dipoles in the yz-plane.
 
-    Spacings and dipole dimensions are in wavelengths; ``wavelength`` (meters)
-    is recorded in sweep metadata, and no computation reads it.
-    Element 0 sits at the origin and indexing runs along z first, then y.
+    Spacings and dipole dimensions are in wavelengths; the operating
+    frequency belongs to the coupling configuration.  Element 0 sits at the
+    origin and indexing runs along z first, then y.
     """
 
     m_y: int
     m_z: int
     d_y: float
     d_z: float
-    wavelength: float = SPEED_OF_LIGHT / DEFAULT_FREQUENCY
     dipole_length: float = 0.5
     dipole_radius: float = 1.0 / 500.0
 
     def __post_init__(self) -> None:
         if self.m_y < 1 or self.m_z < 1:
             raise ValueError("element counts must be positive")
-        for name in ("d_y", "d_z", "wavelength", "dipole_length", "dipole_radius"):
+        for name in ("d_y", "d_z", "dipole_length", "dipole_radius"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from holoest import estimation as est
+from holoest import experiments
 from holoest.coupling import GeometryOverlapWarning
 from holoest.experiments import (
     CouplingConfig,
@@ -19,6 +20,7 @@ from holoest.experiments import (
     run_sweep,
 )
 from holoest.geometry import UpaGeometry
+from holoest.linalg import psd_sqrt
 
 pytestmark = pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
 
@@ -69,7 +71,6 @@ class TestSweepConfigValidation:
         [
             lambda g: UpaGeometry(2, 2, d_y=math.nan, d_z=0.2),
             lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=math.inf),
-            lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, wavelength=math.nan),
             lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, dipole_length=math.inf),
             lambda g: UpaGeometry(2, 2, d_y=0.2, d_z=0.2, dipole_radius=math.nan),
             lambda g: CouplingConfig(frequency=-1.0),
@@ -173,6 +174,50 @@ class TestRunSweepMonteCarlo:
             a.analytic_mse == b.analytic_mse
             for a, b in zip(other.rows, mc_result.rows)
         )
+
+
+def _mc_cell_reference(filters, r_mc_sqrt, rho, snr_index, trials, base_seed):
+    """The column-at-a-time loop: two complex_normal calls per trial."""
+    m = r_mc_sqrt.shape[0]
+    sums = {kind: 0.0 for kind in filters}
+    sq_sums = {kind: 0.0 for kind in filters}
+    for start in range(0, trials, experiments._MC_CHUNK):
+        count = min(experiments._MC_CHUNK, trials - start)
+        iid = np.empty((m, count), dtype=complex)
+        noise = np.empty((m, count), dtype=complex)
+        for j in range(count):
+            rng = experiments._trial_rng(base_seed, snr_index, start + j)
+            iid[:, j] = est.complex_normal(rng, m)
+            noise[:, j] = est.complex_normal(rng, m)
+        h = r_mc_sqrt @ iid
+        y = math.sqrt(rho) * h + noise
+        for kind, w in filters.items():
+            sq = np.sum(np.abs(h - w @ y) ** 2, axis=0)
+            sums[kind] += float(np.sum(sq))
+            sq_sums[kind] += float(np.sum(sq * sq))
+    out = {}
+    for kind in filters:
+        mean = sums[kind] / trials
+        var = max(sq_sums[kind] / trials - mean * mean, 0.0) * trials / (trials - 1)
+        out[kind] = (mean, math.sqrt(var / trials))
+    return out
+
+
+class TestMonteCarloCell:
+    # 4000 trials cross the 2048-trial chunk boundary and end in a partial block
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2)], ids=["M1", "M6"])
+    def test_bitwise_equal_to_per_column_reference(self, shape):
+        config = SweepConfig(
+            geometry=UpaGeometry(*shape, d_y=0.2, d_z=0.2), mc_trials=0
+        )
+        channel = build_channel(config)
+        rho = 10.0 ** 0.5
+        filters = {
+            kind: channel.estimator(kind, rho).filter for kind in est.ESTIMATOR_KINDS
+        }
+        args = (filters, psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
+        assert 4000 % experiments._MC_CHUNK % experiments._MC_BLOCK != 0
+        assert experiments._mc_cell(*args) == _mc_cell_reference(*args)
 
 
 class TestValidationMode:

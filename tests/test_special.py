@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import sici
+from scipy.integrate import quad
 
 from holoest.special import (
     DIPOLE_DIRECTIVITY,
@@ -88,11 +88,36 @@ def test_derivative_identities(x):
     assert dci == pytest.approx(math.cos(x) / x, abs=1e-6)
 
 
+def _integral(f, a: float, b: float, **weight) -> float:
+    return quad(f, a, b, epsabs=1e-13, epsrel=0.0, limit=200, **weight)[0]
+
+
+def si_quadrature_oracle(x: float) -> float:
+    """Si(x) = int_0^x sin t / t dt; beyond t = 1 as 1/t against a sine weight."""
+    head = _integral(lambda t: np.sinc(t / np.pi), 0.0, min(x, 1.0))
+    if x <= 1.0:
+        return head
+    return head + _integral(lambda t: 1.0 / t, 1.0, x, weight="sin", wvar=1.0)
+
+
+def ci_quadrature_oracle(x: float) -> float:
+    """Ci(x) = gamma + ln x + int_0^x (cos t - 1) / t dt.
+
+    cos t - 1 is taken as -2 sin^2(t/2) to avoid cancellation.  For x > 1
+    the ln x cancels against int_1^x dt / t, leaving
+    gamma + int_0^1 (cos t - 1) / t dt + int_1^x cos t / t dt.
+    """
+    head = _integral(lambda t: -2.0 * math.sin(0.5 * t) ** 2 / t, 0.0, min(x, 1.0))
+    if x <= 1.0:
+        return np.euler_gamma + math.log(x) + head
+    return np.euler_gamma + head + _integral(lambda t: 1.0 / t, 1.0, x, weight="cos", wvar=1.0)
+
+
 @pytest.mark.parametrize("x", np.geomspace(0.01, 1000.0, 40).tolist())
 def test_against_scipy(x):
-    si_ref, ci_ref = sici(x)
-    assert sin_integral(x) == pytest.approx(si_ref, abs=1e-10)
-    assert cos_integral(x) == pytest.approx(ci_ref, abs=1e-10)
+    """The sici wrappers against scipy.integrate.quad of the defining integrals."""
+    assert sin_integral(x) == pytest.approx(si_quadrature_oracle(x), abs=1e-12)
+    assert cos_integral(x) == pytest.approx(ci_quadrature_oracle(x), abs=1e-12)
 
 
 def alpha_exact_oracle(k: int, l: int) -> float:
