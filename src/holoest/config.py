@@ -1,8 +1,9 @@
 """Line-oriented configuration files: ``section.key = value``.
 
-Plain text with ``#`` comments; unknown sections or keys, and numbers that
-are not finite, are rejected with the offending line number so scenario files
-stay diffable and typo-proof.  All physical quantities carry their units in
+Plain text with ``#`` comments; unknown sections or keys, numbers that are
+not finite and SNR points whose pilot SNR is not a finite positive double are
+rejected with the offending line number so scenario files stay diffable and
+typo-proof.  All physical quantities carry their units in
 REFERENCE_CONFIG.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import estimation as est
 from .correlation import ClusterScenario
-from .experiments import CouplingConfig, SweepConfig
+from .experiments import CouplingConfig, SweepConfig, pilot_snr
 from .geometry import UpaGeometry
 
 __all__ = ["ConfigError", "CliConfig", "REFERENCE_CONFIG", "parse_config", "load_config"]
@@ -91,11 +92,17 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
         start, step, stop = (_parse_float(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
+        pilot_snr(start)
+        pilot_snr(stop)  # before the points between them are generated
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ValueError("empty SNR grid")
-        return tuple(start + i * step for i in range(count))
-    return tuple(_parse_float(p) for p in raw.split(",") if p.strip())
+        grid = tuple(start + i * step for i in range(count))
+    else:
+        grid = tuple(_parse_float(p) for p in raw.split(",") if p.strip())
+    for snr_db in grid:
+        pilot_snr(snr_db)
+    return grid
 
 
 def _parse_estimators(raw: str) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ not depend on execution order or batching.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
+    "pilot_snr",
     "Channel",
     "ValidationFailure",
     "default_cluster_scenario",
@@ -49,6 +51,16 @@ _DEFAULT_SIGMA_DEG = 2.0
 
 _MC_CHUNK = 2048
 _MC_BLOCK = 256
+
+# numpy's SeedSequence hash and mix constants (NEP 19, after O'Neill's
+# seed_seq_fe) and PCG64's 128-bit LCG multiplier, as ``_trial_words`` and
+# ``_trial_rngs`` replay them
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,8 @@ class SweepConfig:
             raise ValueError("scenario must be 'isotropic' or a ClusterScenario")
         if len(self.snr_grid_db) == 0:
             raise ValueError("SNR grid must be nonempty")
-        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
-            raise ValueError("SNR grid points must be finite")
+        for snr_db in self.snr_grid_db:
+            pilot_snr(snr_db)
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ValueError("SNR grid must be sorted ascending")
         if self.mc_trials != 0 and self.mc_trials < 100:
@@ -94,6 +106,24 @@ class SweepConfig:
                 raise ValueError(f"unknown estimator kind {kind!r}")
         if not (self.series_tol > 0 and math.isfinite(self.series_tol)):
             raise ValueError("series_tol must be positive and finite")
+
+
+def pilot_snr(snr_db: float) -> float:
+    """Linear pilot SNR rho = 10^(snr_db / 10).
+
+    Raises ValueError unless rho is a finite positive double, which holds for
+    roughly -3236 < snr_db < 3082.5.
+    """
+    try:
+        rho = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise ValueError(
+            f"SNR point {snr_db!r} dB gives pilot SNR {rho!r}, "
+            "not a finite positive number"
+        )
+    return rho
 
 
 class ValidationFailure(RuntimeError):
@@ -243,6 +273,76 @@ def _trial_rng(base_seed: int, snr_index: int, trial: int) -> np.random.Generato
     )
 
 
+def _uint32_word_count(n: int) -> int:
+    return max(1, -(-int(n).bit_length() // 32))
+
+
+def _trial_words(base_seed: int, snr_index: int, trials: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each trial's ``SeedSequence``, as rows.
+
+    Trial indices must be below 2**32, so each adds one word to the entropy.
+    ``SeedSequence`` folds its entropy words into a 4-word pool in order, so
+    the pool of the key without the trial word is the state before it: only
+    the last fold and ``generate_state``'s hash are replayed, in ``uint32``
+    arithmetic over the whole array of trials.
+    """
+    prefix = np.random.SeedSequence(entropy=base_seed, spawn_key=(snr_index,))
+    # hash calls before the trial word: 4 to fill the pool, 12 to mix it, and
+    # 4 per entropy word past the (zero-padded) pool size
+    entropy_words = max(4, _uint32_word_count(base_seed)) + _uint32_word_count(snr_index)
+    calls = 16 + 4 * (entropy_words - 4)
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, calls, 1 << 32) & _MASK32
+    trials = np.asarray(trials, dtype=np.uint32)
+    pool = []
+    for word in prefix.pool.tolist():
+        value = trials ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * value
+        mixed ^= mixed >> np.uint32(16)
+        pool.append(mixed)
+    hash_const = _HASH_INIT_B
+    state = np.empty((trials.size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        state[:, i] = value
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_rngs(
+    base_seed: int, snr_index: int, start: int, count: int
+) -> Iterator[np.random.Generator]:
+    """Generators in the states of ``_trial_rng`` for trials start .. start+count-1.
+
+    One ``Generator`` is reused, so each yielded one is the trial's only
+    until the next step: each step sets the PCG64 state that
+    ``pcg64_set_seed`` derives from the trial's ``_trial_words`` row (two
+    128-bit LCG steps), so its draws equal ``_trial_rng``'s bit for bit.
+    Trial indices from 2**32 on take two entropy words and use ``_trial_rng``.
+    """
+    stop = start + count
+    split = min(max(start, 1 << 32), stop)
+    rng = np.random.Generator(np.random.PCG64(0))  # state is set per trial
+    bit_generator = rng.bit_generator
+    words = _trial_words(base_seed, snr_index, np.arange(start, split))
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+    for trial in range(split, stop):
+        yield _trial_rng(base_seed, snr_index, trial)
+
+
 def _mc_cell(
     filters: dict[str, np.ndarray],
     r_mc_sqrt: np.ndarray,
@@ -253,12 +353,16 @@ def _mc_cell(
 ) -> dict[str, tuple[float, float]]:
     """Empirical squared-error mean and standard error per estimator.
 
-    Trial t draws its 4M standard normals from ``_trial_rng(base_seed,
-    snr_index, t)`` in one call, in the order iid real, iid imaginary, noise
-    real, noise imaginary: the stream two ``complex_normal(rng, M)`` calls
-    consume.  Trials are drawn ``_MC_BLOCK`` at a time into one block buffer
-    and their squared errors are summed per ``_MC_CHUNK``; all M x chunk
-    arrays live in a few buffers reused across chunks and estimators.
+    Trial t draws its 4M standard normals from the stream of ``_trial_rng(
+    base_seed, snr_index, t)`` in one call, in the order iid real, iid
+    imaginary, noise real, noise imaginary: the stream two
+    ``complex_normal(rng, M)`` calls consume.  Trials are drawn ``_MC_BLOCK``
+    at a time into one block buffer, their generator keys computed for the
+    whole block by ``_trial_rngs``; ``_trial_rng`` is the oracle those keys
+    are tested against.  Squared errors are summed per ``_MC_CHUNK``; all
+    M x chunk arrays live in a few buffers reused across chunks and
+    estimators.  The least-squares filter is d I, so its estimate is y times
+    d, which equals the product with d I bit for bit.
     """
     m = r_mc_sqrt.shape[0]
     sums = {kind: 0.0 for kind in filters}
@@ -276,10 +380,8 @@ def _mc_cell(
         sq_err = flat_sq[: m * count].reshape(m, count)
         for lo in range(0, count, _MC_BLOCK):
             n = min(_MC_BLOCK, count - lo)
-            for j in range(n):
-                _trial_rng(base_seed, snr_index, start + lo + j).standard_normal(
-                    out=draws[j]
-                )
+            for j, rng in enumerate(_trial_rngs(base_seed, snr_index, start + lo, n)):
+                rng.standard_normal(out=draws[j])
             block = draws[:n].T
             work.real[:, lo : lo + n] = block[:m]
             work.imag[:, lo : lo + n] = block[m : 2 * m]
@@ -293,7 +395,11 @@ def _mc_cell(
         np.multiply(h, sqrt_rho, out=work)
         y = np.add(noise, work, out=noise)  # IEEE addition commutes
         for kind, w in filters.items():
-            err = np.subtract(h, np.matmul(w, y, out=work), out=work)
+            if kind == est.LS:
+                estimate = np.multiply(y, w[0, 0], out=work)
+            else:
+                estimate = np.matmul(w, y, out=work)
+            err = np.subtract(h, estimate, out=work)
             np.abs(err, out=sq_err)
             np.square(sq_err, out=sq_err)
             sq = np.sum(sq_err, axis=0)
@@ -325,7 +431,7 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     analytic: dict[tuple[str, float], float] = {}
     mc: dict[tuple[str, float], tuple[float, float]] = {}
     for snr_index, snr_db in enumerate(config.snr_grid_db):
-        rho = 10.0 ** (snr_db / 10.0)
+        rho = pilot_snr(snr_db)
         filters = {}
         for kind in config.estimators:
             spec = channel.estimator(kind, rho)

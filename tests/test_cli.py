@@ -152,6 +152,24 @@ class TestConfigParsing:
         assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", ["1e300", "-1e300"])
+    @pytest.mark.parametrize("template", ["{}", "-4, {}, 8"])
+    def test_snr_point_outside_pilot_snr_domain_rejected(
+        self, tmp_path, capsys, template, bad
+    ):
+        # 10^(snr/10) overflows to inf at 1e300 dB and underflows to 0 at -1e300
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"geometry.m_y = 2\nsweep.snr_db = {template.format(bad)}\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{path}:2" in lines[0] and "sweep.snr_db" in lines[0]
+        assert not out_dir.exists()
+
     def test_defaults_without_file(self):
         config = load_config(None)
         assert config.geometry().m_y == 10

@@ -80,6 +80,8 @@ class TestSweepConfigValidation:
             lambda g: CouplingConfig(conductivity=math.inf),
             lambda g: SweepConfig(geometry=g, snr_grid_db=(math.nan,)),
             lambda g: SweepConfig(geometry=g, snr_grid_db=(0.0, math.inf)),
+            lambda g: SweepConfig(geometry=g, snr_grid_db=(0.0, 1e300)),
+            lambda g: SweepConfig(geometry=g, snr_grid_db=(-1e300, 0.0)),
             lambda g: SweepConfig(geometry=g, series_tol=math.nan),
             lambda g: SweepConfig(geometry=g, series_tol=0.0),
             lambda g: SweepConfig(geometry=g, series_tol=math.inf),
@@ -218,6 +220,42 @@ class TestMonteCarloCell:
         args = (filters, psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
         assert 4000 % experiments._MC_CHUNK % experiments._MC_BLOCK != 0
         assert experiments._mc_cell(*args) == _mc_cell_reference(*args)
+
+
+class TestTrialKeys:
+    """The block keys against ``_trial_rng``, the per-trial oracle.
+
+    A numpy whose ``SeedSequence`` or PCG64 seeding differs fails here
+    instead of moving the Monte Carlo draws.
+    """
+
+    # 1 to 5 entropy words; under 4 they are zero-padded to the pool size
+    BASE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1, experiments.DEFAULT_BASE_SEED]
+    # block edge 255/256, chunk edge 2047/2048, last single-word trial index
+    TRIALS = [0, 255, 256, 2047, 2048, 2**32 - 1]
+
+    @pytest.mark.parametrize("snr_index", [0, 17, 2**32])
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    def test_words_match_seed_sequence(self, base_seed, snr_index):
+        words = experiments._trial_words(base_seed, snr_index, np.array(self.TRIALS))
+        for row, trial in zip(words, self.TRIALS):
+            oracle = np.random.SeedSequence(
+                entropy=base_seed, spawn_key=(snr_index, trial)
+            ).generate_state(4, np.uint64)
+            assert row.tolist() == oracle.tolist()
+
+    @pytest.mark.parametrize("snr_index", [0, 17])
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    def test_draws_match_trial_rng(self, base_seed, snr_index):
+        m = 100
+        for first, count in [(0, 1), (254, 4), (2046, 4), (2**32 - 2, 3)]:
+            # the last range crosses into 2**32, which takes the fallback
+            rngs = experiments._trial_rngs(base_seed, snr_index, first, count)
+            for trial, rng in zip(range(first, first + count), rngs, strict=True):
+                oracle = experiments._trial_rng(base_seed, snr_index, trial)
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                draws = rng.standard_normal(4 * m)
+                assert draws.tobytes() == oracle.standard_normal(4 * m).tobytes()
 
 
 class TestValidationMode:
