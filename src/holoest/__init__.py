@@ -41,7 +41,6 @@ from .estimation import (
     ls_filter,
     mmse_filter,
     mse_eigen_expansion,
-    mse_mismatched_beta,
     verify_column_space,
 )
 from .experiments import (

@@ -49,34 +49,28 @@ def _info(args, message: str) -> None:
         print(message)
 
 
-def _format_float(value: float, fmt: str) -> str:
-    return fmt % value
-
-
 def _write_matrix_csv(path: Path, entries: np.ndarray, fmt: str) -> None:
     lines = ["n,m,re,im"]
     m = entries.shape[0]
     for n in range(m):
         for j in range(m):
             value = complex(entries[n, j])
-            lines.append(
-                f"{n},{j},{_format_float(value.real, fmt)},{_format_float(value.imag, fmt)}"
-            )
+            lines.append(f"{n},{j},{fmt % value.real},{fmt % value.imag}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_sweep_csv(path: Path, result, fmt: str) -> None:
     lines = ["estimator,snr_db,analytic_mse,analytic_nmse_db,mc_mse,mc_stderr"]
     for row in result.rows:
-        mc_mse = "" if row.mc_mse is None else _format_float(row.mc_mse, fmt)
-        mc_stderr = "" if row.mc_stderr is None else _format_float(row.mc_stderr, fmt)
+        mc_mse = "" if row.mc_mse is None else fmt % row.mc_mse
+        mc_stderr = "" if row.mc_stderr is None else fmt % row.mc_stderr
         lines.append(
             ",".join(
                 [
                     row.estimator,
-                    _format_float(row.snr_db, "%.6g"),
-                    _format_float(row.analytic_mse, fmt),
-                    _format_float(row.analytic_nmse_db, fmt),
+                    "%.6g" % row.snr_db,
+                    fmt % row.analytic_mse,
+                    fmt % row.analytic_nmse_db,
                     mc_mse,
                     mc_stderr,
                 ]
@@ -291,16 +285,15 @@ def _validate_checks(sweep_config, channel):
         )
     )
 
-    # the sweep reports the sum over each filter's modes; this guards that
-    # route against the dense error-covariance trace
+    # the sweep reports the sum over each prior's modes; this guards that
+    # route against the dense error-covariance trace of each built filter
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
     worst_rel = 0.0
-    for snr_db in (-10.0, 0.0, 10.0, 20.0):
-        rho = 10.0 ** (snr_db / 10.0)
-        for kind in est.ESTIMATOR_KINDS:
-            spec = channel.estimator(kind, rho)
-            trace_form = est.analytic_mse(spec, channel.r_mc)
-            expansion = est.mse_eigen_expansion(spec, channel.r_mc)
-            worst_rel = max(worst_rel, abs(expansion - trace_form) / abs(trace_form))
+    for kind in est.ESTIMATOR_KINDS:
+        expansion = est.mse_eigen_expansion(channel.prior(kind), channel.r_mc, rhos)
+        for rho, value in zip(rhos, expansion.tolist()):
+            trace_form = est.analytic_mse(channel.estimator(kind, rho), channel.r_mc)
+            worst_rel = max(worst_rel, abs(value - trace_form) / abs(trace_form))
     checks.append(
         ("prop3_eigen_expansion", worst_rel < 1e-8, f"max rel diff {worst_rel:.3e}")
     )

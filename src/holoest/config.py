@@ -1,10 +1,10 @@
 """Line-oriented configuration files: ``section.key = value``.
 
 Plain text with ``#`` comments; unknown sections or keys, numbers that are
-not finite and SNR points whose pilot SNR is not a finite positive double are
-rejected with the offending line number so scenario files stay diffable and
-typo-proof.  All physical quantities carry their units in
-REFERENCE_CONFIG.
+not finite, SNR points whose pilot SNR is not a finite positive double and
+start:step:stop grids of more than 10000 points are rejected with the
+offending line number so scenario files stay diffable and typo-proof.  All
+physical quantities carry their units in REFERENCE_CONFIG.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .geometry import UpaGeometry
 
 __all__ = ["ConfigError", "CliConfig", "REFERENCE_CONFIG", "parse_config", "load_config"]
 
+_MAX_GRID_POINTS = 10_000  # start:step:stop cap, as REFERENCE_CONFIG states
 REFERENCE_CONFIG = """\
 # Array layout (spacings and dipole dimensions in wavelengths)
 geometry.m_y = 10
@@ -42,7 +43,7 @@ scenario.file =
 scenario.seed =
 scenario.series_tol = 1e-12       # truncation of the isotropic series
 
-# SNR sweep (grid as start:step:stop inclusive, or a comma list, in dB)
+# SNR sweep (start:step:stop inclusive, at most 10000 points, or a list, in dB)
 sweep.snr_db = -10:2:24
 sweep.mc_trials = 10000           # 0 disables Monte Carlo
 sweep.estimators = mmse_true,mmse_coupling_aware_iso,mmse_iso,ls
@@ -94,7 +95,10 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
             raise ValueError("grid step must be positive")
         pilot_snr(start)
         pilot_snr(stop)  # before the points between them are generated
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9  # counted before any point is built
+        if not span < _MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         if count < 1:
             raise ValueError("empty SNR grid")
         grid = tuple(start + i * step for i in range(count))

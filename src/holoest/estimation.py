@@ -2,10 +2,10 @@
 
 The estimator family shares one linear structure, estimate = W y, with W
 either the scaled identity (least squares) or the Bayesian filter
-sqrt(rho) Rhat (rho Rhat + I)^-1 built from a prior covariance Rhat.  Both
-are spectral, W = U diag(g) U^H, and every spec they build carries (U, g).
-The analytic MSE the sweep reports is the sum over those modes
-(``mse_eigen_expansion``); the dense error-covariance trace
+sqrt(rho) Rhat (rho Rhat + I)^-1 built from a prior covariance Rhat.  The
+analytic MSE the sweep reports is a sum over the prior's modes
+(``mse_eigen_expansion``: one projection per prior, every SNR from it, LS as
+M / rho); the dense error-covariance trace of a built filter
 (``analytic_mse``) is kept as its independent oracle.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "error_covariance",
     "analytic_mse",
     "mse_eigen_expansion",
-    "mse_mismatched_beta",
     "verify_column_space",
 ]
 
@@ -51,9 +50,8 @@ ESTIMATOR_KINDS = (MMSE_TRUE, MMSE_COUPLING_AWARE_ISO, MMSE_ISO, LS)
 class EstimatorSpec:
     """Estimator kind, its filter matrix W, and the pilot SNR it assumes.
 
-    ``mmse_filter`` and ``ls_filter`` also store the eigenbasis and per-mode
-    gains, which the analytic MSE and the column-space analysis read instead
-    of re-factorizing W.
+    ``mmse_filter`` also stores the eigenbasis and per-mode gains, which the
+    column-space analysis reads instead of re-factorizing W.
     """
 
     kind: str
@@ -102,13 +100,10 @@ def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> E
 
 
 def ls_filter(rho: float, m: int) -> EstimatorSpec:
-    """Least-squares filter W = I / sqrt(rho): identity basis, gains 1/sqrt(rho)."""
+    """Least-squares filter W = I / sqrt(rho)."""
     if rho <= 0:
         raise ValueError("pilot SNR must be positive")
-    gains = np.full(m, 1.0 / np.sqrt(rho))
-    return EstimatorSpec(
-        kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho, basis=np.eye(m), gains=gains
-    )
+    return EstimatorSpec(kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho)
 
 
 def error_covariance(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> np.ndarray:
@@ -133,33 +128,28 @@ def analytic_mse(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> float:
     return float(np.trace(error_covariance(spec, r_mc)).real)
 
 
-def mse_eigen_expansion(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> float:
-    """MSE as a sum over the filter's own modes; the route sweeps report.
+def mse_eigen_expansion(
+    prior: CovarianceMatrix | None, r_mc: CovarianceMatrix, rhos
+) -> np.ndarray:
+    """MSE of the filter built from ``prior`` at each pilot SNR: the sweeps' route.
 
-    With W = U diag(g) U^H for a square unitary U and b_i = u_i^H R_mc u_i,
-    MSE = sum_i (1 - sqrt(rho) g_i)^2 b_i + g_i^2: one M x M product, no
-    further decomposition.  The trace of error_covariance is its oracle.
+    With the prior's eigenpairs (u_i, lam_i), b_i = u_i^H R_mc u_i (one M x M
+    product) and s_i = 1 / (rho lam_i + 1), the filter gain is g_i = sqrt(rho)
+    lam_i s_i and MSE = sum_i b_i s_i^2 + g_i^2 (the paper's Prop. 3), O(M) per
+    SNR.  ``prior=None`` is least squares, M / rho.
     """
-    basis, gains = spec.spectrum()
-    b = np.sum(basis.conj() * (r_mc.entries @ basis), axis=0).real
-    miss = 1.0 - np.sqrt(spec.rho) * gains
-    return float(np.sum(miss * miss * b + gains * gains))
-
-
-def mse_mismatched_beta(lambda_h: float, lambda_w_source: float, rho: float) -> float:
-    """Per-mode MSE weight when the filter is built from a mismatched prior.
-
-    ``lambda_w_source`` is the prior-covariance eigenvalue (not the filter
-    gain); the expression equals the general expansion weight after mapping
-    the prior eigenvalue through the Bayesian filter.
-    """
-    if rho <= 0:
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all(rhos > 0):
         raise ValueError("pilot SNR must be positive")
-    inv_rho = 1.0 / rho
-    lam = lambda_w_source
-    return (lambda_h + inv_rho) / (lam + inv_rho) ** 2 * lam**2 - 2.0 * lambda_h * lam / (
-        lam + inv_rho
-    )
+    # M / rho or rho lam_i may overflow to inf (so s_i = g_i = 0); callers check
+    with np.errstate(over="ignore"):
+        if prior is None:
+            return r_mc.size / rhos
+        eig = prior.eig
+        b = np.sum(eig.basis.conj() * (r_mc.entries @ eig.basis), axis=0).real
+        s = 1.0 / (rhos[:, None] * eig.values + 1.0)
+        g = np.sqrt(rhos)[:, None] * eig.values * s
+        return np.sum(b * s * s + g * g, axis=1)
 
 
 def verify_column_space(

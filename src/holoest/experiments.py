@@ -4,9 +4,9 @@
 spatial correlation (isotropic closed form or clustered quadrature), the
 coupling model, and the coupled correlations every estimator prior comes from.
 A sweep evaluates every requested estimator at every SNR point on that model,
-analytically and optionally by Monte Carlo.  Trials draw from per-trial
-generator streams keyed by (base seed, SNR index, trial index), so results do
-not depend on execution order or batching.
+analytically per prior and optionally by Monte Carlo, the one step that builds
+filters.  Trials draw from per-trial generator streams keyed by (base seed,
+SNR index, trial index), so results do not depend on order or batching.
 """
 
 from __future__ import annotations
@@ -416,8 +416,11 @@ def _mc_cell(
 def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResult:
     """Run the analytic (and optionally Monte Carlo) MSE sweep.
 
-    ``channel`` reuses a model from ``build_channel``; it must have been built
-    from the same geometry, scenario, coupling and series tolerance.
+    One ``mse_eigen_expansion`` call per estimator gives its analytic rows;
+    filters are built only for the Monte Carlo cell.  An analytic MSE without
+    a finite NMSE raises ValueError.  ``channel`` reuses a model from
+    ``build_channel``; it must have been built from the same geometry,
+    scenario, coupling and series tolerance.
     """
     if channel is None:
         channel = build_channel(config)
@@ -426,19 +429,26 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     geometry = config.geometry
     r_mc = channel.r_mc
     trace_mc = r_mc.trace()
-    r_mc_sqrt = psd_sqrt(r_mc) if config.mc_trials > 0 else None
+    rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
 
-    analytic: dict[tuple[str, float], float] = {}
+    analytic: dict[str, list[float]] = {}
+    for kind in config.estimators:
+        mses = est.mse_eigen_expansion(channel.prior(kind), r_mc, rhos).tolist()
+        for snr_db, mse in zip(config.snr_grid_db, mses):
+            if not 0.0 < mse / trace_mc < math.inf:
+                raise ValueError(
+                    f"sweep.snr_db point {snr_db!r} dB: analytic MSE of {kind} is "
+                    f"{mse!r}, which has no finite NMSE in dB"
+                )
+        analytic[kind] = mses
+
     mc: dict[tuple[str, float], tuple[float, float]] = {}
-    for snr_index, snr_db in enumerate(config.snr_grid_db):
-        rho = pilot_snr(snr_db)
-        filters = {}
-        for kind in config.estimators:
-            spec = channel.estimator(kind, rho)
-            analytic[(kind, float(snr_db))] = est.mse_eigen_expansion(spec, r_mc)
-            if r_mc_sqrt is not None:
-                filters[kind] = spec.filter
-        if filters:
+    if config.mc_trials > 0:
+        r_mc_sqrt = psd_sqrt(r_mc)
+        for snr_index, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
+            filters = {
+                kind: channel.estimator(kind, rho).filter for kind in config.estimators
+            }
             cell = _mc_cell(
                 filters, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
             )
@@ -447,15 +457,14 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
 
     rows: list[SweepRow] = []
     for kind in config.estimators:
-        for snr_db in config.snr_grid_db:
-            key = (kind, float(snr_db))
-            mc_mse, mc_stderr = mc.get(key, (None, None))
+        for snr_db, mse in zip(config.snr_grid_db, analytic[kind]):
+            mc_mse, mc_stderr = mc.get((kind, float(snr_db)), (None, None))
             rows.append(
                 SweepRow(
                     estimator=kind,
                     snr_db=float(snr_db),
-                    analytic_mse=analytic[key],
-                    analytic_nmse_db=10.0 * math.log10(analytic[key] / trace_mc),
+                    analytic_mse=mse,
+                    analytic_nmse_db=10.0 * math.log10(mse / trace_mc),
                     mc_mse=mc_mse,
                     mc_stderr=mc_stderr,
                 )

@@ -90,26 +90,34 @@ def test_criterion_2_zero_separation_value():
     assert err < 1e-9
 
 
-def _scenario_filters(rho, r_mc, r_hat_aware, r_iso):
-    return [
-        est.mmse_filter(r_mc, rho, est.MMSE_TRUE),
-        est.mmse_filter(r_hat_aware, rho, est.MMSE_COUPLING_AWARE_ISO),
-        est.mmse_filter(r_iso, rho, est.MMSE_ISO),
-        est.ls_filter(rho, r_mc.size),
-    ]
+def _worst_expansion_diff(priors, r_mc) -> float:
+    """Worst relative gap between the per-prior expansion and each filter's trace."""
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in ACCEPTANCE_SNR_DB]
+    worst = 0.0
+    for kind, prior in priors:
+        expansion = est.mse_eigen_expansion(prior, r_mc, rhos)
+        for rho, value in zip(rhos, expansion):
+            spec = (
+                est.ls_filter(rho, r_mc.size)
+                if prior is None
+                else est.mmse_filter(prior, rho, kind)
+            )
+            trace_form = est.analytic_mse(spec, r_mc)
+            worst = max(worst, abs(value - trace_form) / abs(trace_form))
+    return worst
 
 
 def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, r_mc_clu):
     worst = 0.0
     # the paper's four estimators on the 10x10 scenarios
     for r_mc in (r_mc_iso, r_mc_clu):
-        r_hat_aware = r_mc_iso
-        for snr_db in ACCEPTANCE_SNR_DB:
-            rho = 10.0 ** (snr_db / 10.0)
-            for spec in _scenario_filters(rho, r_mc, r_hat_aware, r_iso_10x10):
-                trace_form = est.analytic_mse(spec, r_mc)
-                expansion = est.mse_eigen_expansion(spec, r_mc)
-                worst = max(worst, abs(expansion - trace_form) / abs(trace_form))
+        priors = [
+            (est.MMSE_TRUE, r_mc),
+            (est.MMSE_COUPLING_AWARE_ISO, r_mc_iso),
+            (est.MMSE_ISO, r_iso_10x10),
+            (est.LS, None),
+        ]
+        worst = max(worst, _worst_expansion_diff(priors, r_mc))
     # twenty seeded random covariance pairs exercise arbitrary eigenbases
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -117,16 +125,8 @@ def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, 
         factor_w = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
         r_mc = psd_clamp(factor_h @ factor_h.conj().T)
         r_hat = psd_clamp(factor_w @ factor_w.conj().T)
-        for snr_db in ACCEPTANCE_SNR_DB:
-            rho = 10.0 ** (snr_db / 10.0)
-            for spec in (
-                est.mmse_filter(r_mc, rho, est.MMSE_TRUE),
-                est.mmse_filter(r_hat, rho, est.MMSE_ISO),
-                est.ls_filter(rho, 12),
-            ):
-                trace_form = est.analytic_mse(spec, r_mc)
-                expansion = est.mse_eigen_expansion(spec, r_mc)
-                worst = max(worst, abs(expansion - trace_form) / abs(trace_form))
+        priors = [(est.MMSE_TRUE, r_mc), (est.MMSE_ISO, r_hat), (est.LS, None)]
+        worst = max(worst, _worst_expansion_diff(priors, r_mc))
     report("criterion-3 expansion-vs-trace", worst < 1e-8, f"max rel diff {worst:.3e}")
     assert worst < 1e-8
 

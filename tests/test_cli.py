@@ -86,6 +86,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config("geometry.m_y = soon\n")
         assert ":1" in str(err.value)
+        # a grid past the 10000-point cap is counted, never built
+        with pytest.raises(ConfigError) as err:
+            parse_config("geometry.m_y = 2\nsweep.snr_db = 0:1e-12:1\n")
+        assert ":2" in str(err.value) and "sweep.snr_db" in str(err.value)
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config("# hello\n\ngeometry.m_y = 3  # trailing\n")
@@ -169,6 +173,29 @@ class TestConfigParsing:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"{path}:2" in lines[0] and "sweep.snr_db" in lines[0]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("snr_db", ["3000", "-3080"])
+    def test_snr_point_without_finite_nmse_is_error(self, tmp_path, capsys, snr_db):
+        # inside the pilot-SNR domain: at -3080 dB LS's M / rho overflows; at
+        # 3000 dB mmse_true's MSE is the roundoff of one clamped mode's
+        # projection, -7.3e-18 with OpenBLAS here, whose sign the BLAS decides
+        path = tmp_path / "extreme.cfg"
+        path.write_text(
+            f"geometry.m_y = 2\nsweep.mc_trials = 0\nsweep.snr_db = {snr_db}\n"
+        )
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            rows = (out_dir / "sweep.csv").read_text().strip().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")[2:4])
+            return
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "sweep.snr_db" in lines[0] and snr_db in lines[0]
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_defaults_without_file(self):
         config = load_config(None)

@@ -112,57 +112,64 @@ class TestEigenExpansion:
         m = 6
         r_mc = random_covariance(m, 100 + seed, rank=4)
         r_hat = random_covariance(m, 200 + seed, rank=5)
-        for snr_db in (-10.0, 0.0, 10.0, 20.0):
-            rho = 10.0 ** (snr_db / 10.0)
-            specs = [
-                est.mmse_filter(r_mc, rho, est.MMSE_TRUE),
-                est.mmse_filter(r_hat, rho, est.MMSE_COUPLING_AWARE_ISO),
-                est.mmse_filter(r_hat, rho, est.MMSE_ISO),
-                est.ls_filter(rho, m),
-            ]
-            for spec in specs:
-                trace_form = est.analytic_mse(spec, r_mc)
-                assert est.mse_eigen_expansion(spec, r_mc) == pytest.approx(
-                    trace_form, rel=1e-8
-                )
+        rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+        for kind, prior in (
+            (est.MMSE_TRUE, r_mc),
+            (est.MMSE_COUPLING_AWARE_ISO, r_hat),
+            (est.MMSE_ISO, r_hat),
+            (est.LS, None),
+        ):
+            expansion = est.mse_eigen_expansion(prior, r_mc, rhos)
+            for rho, value in zip(rhos, expansion):
+                if prior is None:
+                    spec = est.ls_filter(rho, m)
+                else:
+                    spec = est.mmse_filter(prior, rho, kind)
+                assert value == pytest.approx(est.analytic_mse(spec, r_mc), rel=1e-8)
 
     def test_zero_filter_gives_channel_power(self):
+        # a zero prior builds the zero filter at every SNR
         r_mc = random_covariance(5, 21)
-        spec = est.EstimatorSpec(est.MMSE_TRUE, np.zeros((5, 5)), rho=1.0)
-        assert est.mse_eigen_expansion(spec, r_mc) == pytest.approx(
-            r_mc.trace(), rel=1e-10
-        )
+        zero = psd_clamp(np.zeros((5, 5)))
+        mse = est.mse_eigen_expansion(zero, r_mc, [0.1, 1.0, 10.0])
+        assert mse == pytest.approx([r_mc.trace()] * 3, rel=1e-10)
 
     def test_ls_reduces_to_m_over_rho(self):
-        # beta collapses the double sum: each channel mode contributes exactly
-        # 1/rho when the filter gain is 1/sqrt(rho) on every mode.
+        # the LS gain 1/sqrt(rho) on every mode leaves exactly 1/rho per mode
         r_mc = random_covariance(3, 22)
         rho = 2.5
-        assert est.mse_eigen_expansion(est.ls_filter(rho, 3), r_mc) == pytest.approx(
+        assert est.mse_eigen_expansion(None, r_mc, [rho]).tolist() == [3.0 / rho]
+        assert est.analytic_mse(est.ls_filter(rho, 3), r_mc) == pytest.approx(
             3.0 / rho, rel=1e-10
         )
 
-    def test_rejects_non_hermitian_filter(self):
+    def test_rejects_mismatched_size_and_bad_snr(self):
         r_mc = random_covariance(3, 23)
-        spec = est.EstimatorSpec(
-            est.MMSE_TRUE, np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0
-        )
         with pytest.raises(ValueError):
-            est.mse_eigen_expansion(spec, random_covariance(2, 24))
-        del r_mc
+            est.mse_eigen_expansion(random_covariance(2, 24), r_mc, [1.0])
+        for prior in (None, r_mc):
+            with pytest.raises(ValueError):
+                est.mse_eigen_expansion(prior, r_mc, [1.0, 0.0])
+
+
+def mismatch_beta(lambda_h: float, lambda_w: float, rho: float) -> float:
+    """One mode's MSE beyond its channel power lambda_h; lambda_w is the prior's."""
+    prior = CovarianceMatrix(np.array([[lambda_w]]))
+    channel = CovarianceMatrix(np.array([[lambda_h]]))
+    return float(est.mse_eigen_expansion(prior, channel, [rho])[0]) - lambda_h
 
 
 class TestMismatchedBeta:
     def test_matched_mode_gives_mmse_weight(self):
         # lambda_h = lambda_w = 1, rho = 1: per-mode MSE is 0.5
-        beta = est.mse_mismatched_beta(1.0, 1.0, 1.0)
+        beta = mismatch_beta(1.0, 1.0, 1.0)
         assert beta + 1.0 == pytest.approx(0.5, rel=1e-12)
 
     def test_ignored_mode_contributes_nothing(self):
-        assert est.mse_mismatched_beta(0.7, 0.0, 2.0) == 0.0
+        assert mismatch_beta(0.7, 0.0, 2.0) == 0.0
 
     def test_direct_formula_value(self):
-        assert est.mse_mismatched_beta(0.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert mismatch_beta(0.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consistent_with_general_expansion(self, seed):
@@ -174,7 +181,7 @@ class TestMismatchedBeta:
             for lw in lam_w:
                 gain = math.sqrt(rho) * lw / (rho * lw + 1.0)
                 general = (rho * lh + 1.0) * gain**2 - 2.0 * math.sqrt(rho) * lh * gain
-                assert est.mse_mismatched_beta(lh, lw, rho) == pytest.approx(
+                assert mismatch_beta(lh, lw, rho) == pytest.approx(
                     general, rel=1e-8, abs=1e-12
                 )
 
@@ -210,6 +217,14 @@ class TestColumnSpaceVerification:
         spec = est.ls_filter(1.0, 3)
         with pytest.raises(ValueError):
             est.verify_column_space(spec, np.eye(4), tol=1e-6)
+
+    def test_rejects_non_hermitian_filter(self):
+        # a spec without a stored spectrum is decomposed, which needs W Hermitian
+        spec = est.EstimatorSpec(
+            est.MMSE_TRUE, np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0
+        )
+        with pytest.raises(ValueError):
+            est.verify_column_space(spec, np.eye(2), tol=1e-6)
 
 
 class TestOptimality:

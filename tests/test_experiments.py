@@ -123,6 +123,17 @@ class TestRunSweepAnalytic:
             for s, reference in zip(grid, best):
                 assert reference <= result.row(kind, s).analytic_mse * (1 + 1e-12)
 
+    def test_builds_no_filter(self, analytic_sweep, monkeypatch):
+        config, result = analytic_sweep
+        channel = build_channel(config)
+
+        def not_built(*args, **kwargs):
+            raise AssertionError("an analytic-only sweep built a filter")
+
+        monkeypatch.setattr(est, "mmse_filter", not_built)
+        monkeypatch.setattr(est, "ls_filter", not_built)
+        assert run_sweep(config, channel).rows == result.rows
+
     def test_metadata_echoes_configuration(self, analytic_sweep, geom_4x4):
         _, result = analytic_sweep
         meta = result.metadata

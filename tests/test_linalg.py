@@ -164,12 +164,13 @@ def test_svd_falls_back_to_gesvd(build, model_4x4, r_iso_4x4, monkeypatch):
         CovarianceMatrix,
         psd_clamp,
         _require_hermitian,
-        lambda a: est.mse_eigen_expansion(
+        lambda a: est.verify_column_space(
             est.EstimatorSpec(kind=est.MMSE_TRUE, filter=a, rho=1.0),
-            CovarianceMatrix(np.eye(a.shape[0])),
+            np.eye(a.shape[0]),
+            1e-8,
         ),
     ],
-    ids=["CovarianceMatrix", "psd_clamp", "_require_hermitian", "mse_eigen_expansion"],
+    ids=["CovarianceMatrix", "psd_clamp", "_require_hermitian", "verify_column_space"],
 )
 def test_every_hermitian_check_rejects_small_asymmetry(check):
     a = random_hermitian(4, 3, psd=True)
