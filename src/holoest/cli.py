@@ -28,7 +28,7 @@ from .correlation import (
     quadrature_entry,
 )
 from .experiments import ValidationFailure, build_channel, run_sweep
-from .geometry import even_separation_matrix
+from .geometry import even_separation_fill
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
 
@@ -175,10 +175,10 @@ def cmd_correlation(args, config: CliConfig) -> int:
     if args.mode == "iso":
         entries = iso_matrix(geometry, tol=config.get("scenario", "series_tol")).entries
     elif args.mode == "quadrature":
-        entries = even_separation_matrix(
-            geometry,
-            lambda dy, dz: quadrature_entry(isotropic_scattering, (0.0, dy, dz)).real,
-        )
+        a, b = np.indices((geometry.m_y, geometry.m_z))
+        offsets = np.stack((0.0 * a, a * geometry.d_y, b * geometry.d_z), axis=-1)
+        unsigned = quadrature_entry(isotropic_scattering, offsets.reshape(-1, 3)).real
+        entries = even_separation_fill(geometry, unsigned.reshape(a.shape))
     else:
         scenario = config.cluster_scenario(args.seed)
         entries = cluster_matrix(geometry, scenario).entries
@@ -249,24 +249,28 @@ def _validate_checks(sweep_config, channel):
     checks = []
 
     # closed-form series against the quadrature oracle at every unique
-    # separation the series covers; beyond SERIES_RADIUS iso_entry uses the
-    # Bessel rule, which the tests compare with the oracle, since checking it
-    # here would cost one 2-D quadrature per offset
-    worst = 0.0
-    for a in range(geometry.m_y):
-        for b in range(geometry.m_z):
-            dy, dz = a * geometry.d_y, b * geometry.d_z
-            if math.hypot(dy, dz) > SERIES_RADIUS:
-                continue
-            series = iso_entry(dy, dz, tol=series_tol)
-            oracle = quadrature_entry(isotropic_scattering, (0.0, dy, dz)).real
-            worst = max(worst, abs(series - oracle))
+    # separation the series covers, zero included, in one stacked cubature;
+    # beyond SERIES_RADIUS iso_entry uses the Bessel rule, which the tests
+    # compare with the oracle
+    offsets = [
+        (a * geometry.d_y, b * geometry.d_z)
+        for a in range(geometry.m_y)
+        for b in range(geometry.m_z)
+        if math.hypot(a * geometry.d_y, b * geometry.d_z) <= SERIES_RADIUS
+    ]
+    oracle = quadrature_entry(
+        isotropic_scattering, [(0.0, dy, dz) for dy, dz in offsets]
+    ).real.tolist()
+    worst = max(
+        abs(iso_entry(dy, dz, tol=series_tol) - value)
+        for (dy, dz), value in zip(offsets, oracle)
+    )
     checks.append(("series_vs_quadrature", worst < 1e-6, f"max diff {worst:.3e}"))
 
+    # offset (0, 0) is the stack's first
     zero_series = iso_entry(0.0, 0.0, tol=series_tol)
-    zero_quad = quadrature_entry(isotropic_scattering, (0.0, 0.0, 0.0)).real
     zero_err = max(
-        abs(zero_series - _ZERO_SEPARATION_VALUE), abs(zero_quad - _ZERO_SEPARATION_VALUE)
+        abs(zero_series - _ZERO_SEPARATION_VALUE), abs(oracle[0] - _ZERO_SEPARATION_VALUE)
     )
     checks.append(("zero_separation_value", zero_err < 1e-9, f"max err {zero_err:.3e}"))
 

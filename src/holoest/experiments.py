@@ -416,11 +416,12 @@ def _mc_cell(
 def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResult:
     """Run the analytic (and optionally Monte Carlo) MSE sweep.
 
-    One ``mse_eigen_expansion`` call per estimator gives its analytic rows;
-    filters are built only for the Monte Carlo cell.  An analytic MSE without
-    a finite NMSE raises ValueError.  ``channel`` reuses a model from
-    ``build_channel``; it must have been built from the same geometry,
-    scenario, coupling and series tolerance.
+    One ``mse_eigen_expansion`` call per distinct prior gives the analytic
+    rows of every estimator that filters with it; filters are built only for
+    the Monte Carlo cell.  An analytic MSE without a finite NMSE raises
+    ValueError.  ``channel`` reuses a model from ``build_channel``; it must
+    have been built from the same geometry, scenario, coupling and series
+    tolerance.
     """
     if channel is None:
         channel = build_channel(config)
@@ -432,8 +433,12 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
 
     analytic: dict[str, list[float]] = {}
+    by_prior: dict[int, list[float]] = {}  # isotropic: the aware prior is r_mc
     for kind in config.estimators:
-        mses = est.mse_eigen_expansion(channel.prior(kind), r_mc, rhos).tolist()
+        prior = channel.prior(kind)
+        if id(prior) not in by_prior:
+            by_prior[id(prior)] = est.mse_eigen_expansion(prior, r_mc, rhos).tolist()
+        mses = by_prior[id(prior)]
         for snr_db, mse in zip(config.snr_grid_db, mses):
             if not 0.0 < mse / trace_mc < math.inf:
                 raise ValueError(

@@ -2,7 +2,8 @@
 
 Also owns the separation layout: every matrix of the array whose entries
 depend only on the element pair's offset is assembled from a grid of
-per-offset values by ``separation_fill`` or ``even_separation_matrix``.
+per-offset values by ``separation_fill``, ``even_separation_matrix`` or
+``even_separation_fill``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "element_positions",
     "separation_fill",
     "even_separation_matrix",
+    "even_separation_fill",
     "array_response",
 ]
 
@@ -106,6 +108,15 @@ def even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
             for a in range(geometry.m_y)
         ]
     )
+    return even_separation_fill(geometry, unsigned)
+
+
+def even_separation_fill(geometry: UpaGeometry, unsigned: np.ndarray) -> np.ndarray:
+    """Full matrix from an (My, Mz) grid of values at unsigned offsets.
+
+    ``unsigned[a, b]`` is the entry of every pair whose y-index and z-index
+    differences are +-a and +-b.
+    """
     iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
     iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
     return separation_fill(geometry, unsigned[np.ix_(iy, iz)])

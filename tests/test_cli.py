@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import holoest
 from holoest import correlation, coupling, linalg
 from holoest.cli import main
 from holoest.config import ConfigError, load_config, parse_config
@@ -277,6 +281,20 @@ class TestCorrelationCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 4 * 4
 
+    def test_quadrature_mode_matches_iso_on_3x3(self, tmp_path):
+        path = tmp_path / "3x3.cfg"
+        path.write_text("geometry.m_y = 3\ngeometry.m_z = 3\n", encoding="utf-8")
+        values = {}
+        for mode in ("iso", "quadrature"):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["--config", str(path), "--quiet", "correlation", "--mode", mode]
+            assert main([*argv, "--out", str(out)]) == 0
+            rows = out.read_text().strip().splitlines()[1:]
+            values[mode] = [complex(*map(float, r.split(",")[2:])) for r in rows]
+        assert len(values["iso"]) == len(values["quadrature"]) == 81
+        for iso, quad in zip(values["iso"], values["quadrature"]):
+            assert quad == pytest.approx(iso, abs=1e-8)
+
 
 _CLUSTER = {"power": 1.0, "azimuth": 0.1, "elevation": -0.2, "sigma_phi": 0.05}
 
@@ -358,6 +376,47 @@ class TestSweepCommand:
         text = svg.read_text()
         for kind in ("mmse_true", "mmse_coupling_aware_iso", "mmse_iso", "ls"):
             assert kind in text
+
+    @pytest.mark.parametrize("d_y", ["1e300", "200"])
+    def test_separation_beyond_bessel_range_exits_3(self, tmp_path, capsys, d_y):
+        # both lie past the 100 wavelengths the Bessel rule's order is checked
+        # on; 1e300 used to end in an OverflowError traceback from building
+        # the Legendre rule
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            f"geometry.m_y = 2\ngeometry.d_y = {d_y}\nsweep.mc_trials = 0\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: ")
+        assert f"({float(d_y)}, 0.0)" in lines[0]
+        assert not out_dir.exists()
+
+    def test_analytic_sweep_never_loads_the_quadrature_oracle(self, tmp_path):
+        # scipy.integrate costs ~0.3 s to import; only quadrature_entry needs it
+        path = tmp_path / "analytic.cfg"
+        path.write_text(SMALL.replace("mc_trials = 1000", "mc_trials = 0"), encoding="utf-8")
+        argv = ["--config", str(path), "--quiet", "sweep", "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from holoest.cli import main\n"
+            f"print(main({argv!r}), 'scipy.integrate' in sys.modules)\n"
+        )
+        src = str(Path(holoest.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            check=True,
+        )
+        assert done.stdout.split() == ["0", "False"]
 
 
 class TestValidateCommand:

@@ -120,10 +120,45 @@ class TestQuadratureEntry:
         value = quadrature_entry(lambda az, el: 1.0 / math.pi**2, (0.0, 0.0, 0.0))
         assert value.real == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_stacked_call_matches_one_at_a_time(self):
+        # the stack shares one adaptive refinement, so agreement is to the
+        # error target, not bitwise
+        offsets = [(0.0, 0.0, 0.0), (0.0, 0.4, 0.0), (0.0, 0.2, 0.6), (0.3, 1.0, 1.2)]
+        stacked = quadrature_entry(isotropic_scattering, offsets)
+        assert isinstance(stacked, np.ndarray)
+        assert stacked.shape == (4,) and stacked.dtype == complex
+        for delta, value in zip(offsets, stacked):
+            single = quadrature_entry(isotropic_scattering, delta)
+            assert type(single) is complex
+            assert abs(value - single) < QuadratureOptions().abs_tol
+        one_row = quadrature_entry(isotropic_scattering, np.zeros((1, 3)))
+        assert one_row.shape == (1,)
+
+    def test_rejects_offsets_of_wrong_shape(self):
+        for delta in [(0.0, 0.2), np.zeros((2, 2)), np.zeros((1, 1, 3))]:
+            with pytest.raises(ValueError):
+                quadrature_entry(isotropic_scattering, delta)
+
+    def test_breakpoints_leave_smooth_integral_unchanged(self):
+        offsets = [(0.0, 0.0, 0.0), (0.0, 0.7, 0.3)]
+        plain = quadrature_entry(isotropic_scattering, offsets)
+        split = quadrature_entry(
+            isotropic_scattering,
+            offsets,
+            QuadratureOptions(azimuth_points=(0.3, -1.0, 2.0), elevation_points=(0.1,)),
+        )
+        assert np.abs(split - plain).max() < 1e-9
+
+    def test_nan_density_raises(self):
+        def broken(az, el):
+            return np.where(az > 0.5, np.nan, 1.0)
+
+        with pytest.raises(QuadratureError):
+            quadrature_entry(broken, [(0.0, 0.0, 0.0), (0.0, 0.3, 0.0)])
+
     def test_non_convergent_raises(self):
         def hostile(az, el):
-            return 1.0 + math.cos(5e5 * az) * math.cos(5e5 * el)
+            return 1.0 + np.cos(5e5 * az) * np.cos(5e5 * el)
 
         with pytest.raises(QuadratureError) as err:
             quadrature_entry(hostile, (0.0, 0.0, 0.0), QuadratureOptions(limit=10))

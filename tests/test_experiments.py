@@ -134,6 +134,24 @@ class TestRunSweepAnalytic:
         monkeypatch.setattr(est, "ls_filter", not_built)
         assert run_sweep(config, channel).rows == result.rows
 
+    def test_one_projection_per_distinct_prior(self, analytic_sweep, monkeypatch):
+        # isotropic: the coupling-aware prior is r_mc itself, so mmse_true and
+        # mmse_coupling_aware_iso share one projection; LS has no prior
+        config, result = analytic_sweep
+        channel = build_channel(config)
+        assert channel.r_hat_aware is channel.r_mc
+        expansion = est.mse_eigen_expansion
+        priors = []
+
+        def logged(prior, r_mc, rhos):
+            priors.append(prior)
+            return expansion(prior, r_mc, rhos)
+
+        monkeypatch.setattr(est, "mse_eigen_expansion", logged)
+        assert run_sweep(config, channel).rows == result.rows
+        projected = [p for p in priors if p is not None]
+        assert len(projected) == len({id(p) for p in projected}) == 2
+
     def test_metadata_echoes_configuration(self, analytic_sweep, geom_4x4):
         _, result = analytic_sweep
         meta = result.metadata
