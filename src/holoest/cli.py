@@ -28,7 +28,7 @@ from .correlation import (
     quadrature_entry,
 )
 from .experiments import ValidationFailure, build_channel, run_sweep
-from .geometry import even_separation_fill
+from .geometry import even_separation_matrix, unsigned_offsets
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
 
@@ -169,16 +169,19 @@ def render_sweep_svg(result) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _iso_oracle(dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Isotropic entries on an offset grid from one stacked oracle call."""
+    offsets = np.stack((np.zeros_like(dy), dy, dz), axis=-1).reshape(-1, 3)
+    return quadrature_entry(isotropic_scattering, offsets).real.reshape(dy.shape)
+
+
 def cmd_correlation(args, config: CliConfig) -> int:
     geometry = config.geometry()
     fmt = config.float_format()
     if args.mode == "iso":
         entries = iso_matrix(geometry, tol=config.get("scenario", "series_tol")).entries
     elif args.mode == "quadrature":
-        a, b = np.indices((geometry.m_y, geometry.m_z))
-        offsets = np.stack((0.0 * a, a * geometry.d_y, b * geometry.d_z), axis=-1)
-        unsigned = quadrature_entry(isotropic_scattering, offsets.reshape(-1, 3)).real
-        entries = even_separation_fill(geometry, unsigned.reshape(a.shape))
+        entries = even_separation_matrix(geometry, _iso_oracle)
     else:
         scenario = config.cluster_scenario(args.seed)
         entries = cluster_matrix(geometry, scenario).entries
@@ -252,25 +255,16 @@ def _validate_checks(sweep_config, channel):
     # separation the series covers, zero included, in one stacked cubature;
     # beyond SERIES_RADIUS iso_entry uses the Bessel rule, which the tests
     # compare with the oracle
-    offsets = [
-        (a * geometry.d_y, b * geometry.d_z)
-        for a in range(geometry.m_y)
-        for b in range(geometry.m_z)
-        if math.hypot(a * geometry.d_y, b * geometry.d_z) <= SERIES_RADIUS
-    ]
-    oracle = quadrature_entry(
-        isotropic_scattering, [(0.0, dy, dz) for dy, dz in offsets]
-    ).real.tolist()
-    worst = max(
-        abs(iso_entry(dy, dz, tol=series_tol) - value)
-        for (dy, dz), value in zip(offsets, oracle)
-    )
+    dy, dz = unsigned_offsets(geometry)
+    inside = np.hypot(dy, dz) <= SERIES_RADIUS
+    oracle = _iso_oracle(dy[inside], dz[inside])
+    series = iso_entry(dy[inside], dz[inside], tol=series_tol)
+    worst = float(np.abs(series - oracle).max())
     checks.append(("series_vs_quadrature", worst < 1e-6, f"max diff {worst:.3e}"))
 
     # offset (0, 0) is the stack's first
-    zero_series = iso_entry(0.0, 0.0, tol=series_tol)
     zero_err = max(
-        abs(zero_series - _ZERO_SEPARATION_VALUE), abs(oracle[0] - _ZERO_SEPARATION_VALUE)
+        abs(series[0] - _ZERO_SEPARATION_VALUE), abs(oracle[0] - _ZERO_SEPARATION_VALUE)
     )
     checks.append(("zero_separation_value", zero_err < 1e-9, f"max err {zero_err:.3e}"))
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
 
-from .geometry import UpaGeometry, even_separation_matrix, separation_fill
+from .geometry import UpaGeometry, even_separation_matrix, separation_fill, unsigned_offsets
 from .linalg import CovarianceMatrix, psd_clamp
 from .special import DIPOLE_DIRECTIVITY, alpha_coefficient
 
@@ -87,105 +87,118 @@ def isotropic_scattering(azimuth, elevation):
     return DIPOLE_DIRECTIVITY / (2.0 * math.pi) * np.cos(elevation) ** 4
 
 
-def _iso_series(dy_norm: float, dz_norm: float, tol: float) -> float:
-    dy2 = dy_norm * dy_norm
-    dz2 = dz_norm * dz_norm
-    total = 0.0
+# Separation (wavelengths) up to which _bessel_order and the oracle's default
+# budget are checked; both raise beyond it rather than run unchecked for minutes.
+_MAX_SEPARATION = 100.0
+
+
+def _check_separation(label: str, offsets: np.ndarray) -> None:
+    """Raise QuadratureError naming the first offset (row) beyond _MAX_SEPARATION."""
+    separation = np.hypot.reduce(offsets, axis=1)
+    beyond = ~(separation <= _MAX_SEPARATION)  # NaN included
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        raise QuadratureError(
+            f"{label} offset {tuple(offsets[i].tolist())} lies {separation[i]:.8g} "
+            f"wavelengths apart, beyond the checked range of {_MAX_SEPARATION:g}",
+            estimate=math.inf,
+        )
+
+
+def _powers(values: np.ndarray) -> np.ndarray:
+    """Row j holds values**j by libm pow, once per distinct value (numpy's can differ)."""
+    distinct = sorted(set(values.tolist()))
+    table = [[v**j for v in distinct] for j in range(_SERIES_MAX_K + 1)]
+    return np.array(table)[:, np.searchsorted(distinct, values)]
+
+
+def _iso_series(dy: np.ndarray, dz: np.ndarray, tol: float) -> np.ndarray:
+    """Series at 1-D arrays of offsets, each cut after its first layer below tol."""
+    z_pow, y_pow = _powers(dz * dz), _powers(dy * dy)
+    total = np.zeros(dy.shape)
+    active = np.ones(dy.shape, dtype=bool)
     for k in range(_SERIES_MAX_K + 1):
-        layer = 0.0
-        for l in range(k + 1):
-            layer += alpha_coefficient(k, l) * dz2 ** (k - l) * dy2**l
-        total += layer
-        if abs(layer) < tol:
+        alpha = np.array([alpha_coefficient(k, l) for l in range(k + 1)])
+        terms = alpha[:, None] * z_pow[k::-1, active] * y_pow[: k + 1, active]
+        layer = np.add.accumulate(terms)[-1]  # summed over l in order
+        total[active] += layer
+        active[active] = ~(np.abs(layer) < tol)
+        if not active.any():
             break
     return total
 
 
-# Separation (wavelengths) up to which _bessel_order is checked; iso_entry
-# raises beyond it rather than build Legendre rules of ever higher order.
-_BESSEL_MAX_SEPARATION = 100.0
-
-
-def _bessel_order(separation: float) -> int:
+def _bessel_order(separation):
     # The Bessel-rule integrand has angular bandwidth 2 pi r at separation r;
     # this floor and slack keep the doubled-order difference at roundoff
-    # (under 4e-15) for r from SERIES_RADIUS to _BESSEL_MAX_SEPARATION.
-    return max(96, math.ceil(2.0 * math.pi * separation) + 64)
+    # (under 4e-15) for r from SERIES_RADIUS to _MAX_SEPARATION.
+    return np.maximum(96, np.ceil(2.0 * math.pi * separation).astype(int) + 64)
 
 
-def _iso_bessel(dy_norm: float, dz_norm: float, order: int) -> float:
-    """Isotropic entry by Gauss-Legendre in elevation after the azimuth step.
+def _iso_bessel(dy, dz, order: int) -> np.ndarray:
+    """Isotropic entries by Gauss-Legendre in elevation after the azimuth step.
 
     The azimuth integral of cos(x sin(phi)) over (-pi/2, pi/2) is pi J0(x)
     (DLMF 10.9.1), so the entry is (D/2) times the elevation integral of
     cos^4(theta) J0(2 pi dy cos(theta)) cos(2 pi dz sin(theta)).
     """
-    nodes, weights = _leggauss(order)
+    nodes, weights = _leggauss(int(order))
     theta = _HALF_PI * nodes
     cos_theta = np.cos(theta)
-    integrand = (
-        cos_theta**4
-        * special.j0(2.0 * math.pi * dy_norm * cos_theta)
-        * np.cos(2.0 * math.pi * dz_norm * np.sin(theta))
-    )
-    return 0.5 * DIPOLE_DIRECTIVITY * _HALF_PI * float(weights @ integrand)
+    # in place, to hold two (offsets x nodes) arrays at a time
+    integrand = special.j0(np.multiply.outer(2.0 * math.pi * dy, cos_theta))
+    integrand *= cos_theta**4
+    phase = np.multiply.outer(2.0 * math.pi * dz, np.sin(theta))
+    integrand *= np.cos(phase, out=phase)
+    # one dot per offset: a matrix-vector product sums in another order,
+    # which moves entries by ~3e-17 and, through the clamp, sweeps by ~3e-13
+    dots = [weights @ row for row in integrand.reshape(-1, weights.size)]
+    return 0.5 * DIPOLE_DIRECTIVITY * _HALF_PI * np.reshape(dots, np.shape(dy))
 
 
-def _iso_entry_impl(dy_norm: float, dz_norm: float, tol: float) -> tuple[float, bool]:
-    separation = math.hypot(dy_norm, dz_norm)
-    if separation <= SERIES_RADIUS:
-        return _iso_series(abs(dy_norm), abs(dz_norm), tol), False
-    if not separation <= _BESSEL_MAX_SEPARATION:
-        raise QuadratureError(
-            f"isotropic offset ({dy_norm}, {dz_norm}) lies {separation:.6g} "
-            f"wavelengths apart, beyond the Bessel rule's checked range of "
-            f"{_BESSEL_MAX_SEPARATION:g}",
-            estimate=math.inf,
-        )
-    order = _bessel_order(separation)
-    base = _iso_bessel(dy_norm, dz_norm, order)
-    refined = _iso_bessel(dy_norm, dz_norm, 2 * order)
-    err = abs(base - refined)
-    if err > _QUADRATURE_ERROR_LIMIT:
-        raise QuadratureError(
-            f"isotropic Bessel-rule error estimate {err:.3e} at offset "
-            f"({dy_norm}, {dz_norm}) exceeds {_QUADRATURE_ERROR_LIMIT:.3e}",
-            estimate=err,
-        )
-    return refined, True
+def iso_entry(dy_norm, dz_norm, tol: float = 1e-12):
+    """Isotropic correlation for (dy, dz) element offsets in wavelengths.
 
-
-def iso_entry(dy_norm: float, dz_norm: float, tol: float = 1e-12) -> float:
-    """Isotropic correlation for a (dy, dz) element offset in wavelengths.
-
-    Within SERIES_RADIUS this is the closed-form series, truncated at the
-    first outer layer whose contribution drops below ``tol``.  Beyond it the
-    azimuth integral is done in closed form (a Bessel J0) and the elevation
-    integral by Gauss-Legendre, with an order that grows with the separation;
-    a doubled-order pass gates the result, raising QuadratureError when the
-    two differ by more than 1e-8.  Separations beyond 100 wavelengths, where
-    that order is unchecked, raise QuadratureError before any rule is built.
-    ``quadrature_entry`` stays the independent 2-D oracle for both routes.
+    Scalars give a float, arrays an array.  Within SERIES_RADIUS this is the
+    closed-form series, truncated at the first outer layer whose contribution
+    drops below ``tol``.  Beyond it the azimuth integral is done in closed
+    form (a Bessel J0) and the elevation integral by Gauss-Legendre, with an
+    order that grows with the separation; a doubled-order pass gates the
+    result, raising QuadratureError when the two differ by more than 1e-8.
+    Separations beyond 100 wavelengths, where that order is unchecked, raise
+    QuadratureError before any rule is built.  ``quadrature_entry`` stays the
+    independent 2-D oracle for both routes.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    return _iso_entry_impl(dy_norm, dz_norm, tol)[0]
+    dy, dz = np.broadcast_arrays(np.abs(dy_norm), np.abs(dz_norm))
+    _check_separation("isotropic", np.column_stack((dy.ravel(), dz.ravel())))
+    separation = np.hypot(dy, dz)
+    values = np.empty(separation.shape)
+    near = separation <= SERIES_RADIUS
+    values[near] = _iso_series(dy[near], dz[near], tol)
+    orders = np.broadcast_to(_bessel_order(separation), separation.shape)
+    err = np.zeros(separation.shape)
+    for order in sorted(set(orders[~near].tolist())):
+        group = ~near & (orders == order)
+        base = _iso_bessel(dy[group], dz[group], order)
+        values[group] = _iso_bessel(dy[group], dz[group], 2 * order)
+        err[group] = np.abs(base - values[group])
+    i = int(np.argmax(err))
+    if err.flat[i] > _QUADRATURE_ERROR_LIMIT:
+        raise QuadratureError(
+            f"isotropic Bessel-rule error estimate {err.flat[i]:.3e} at offset "
+            f"({dy.flat[i]}, {dz.flat[i]}) exceeds {_QUADRATURE_ERROR_LIMIT:.3e}",
+            estimate=float(err.flat[i]),
+        )
+    return values if values.ndim else float(values)
 
 
 def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
-    """Isotropic spatial correlation matrix of the array (real symmetric)."""
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    fallbacks = 0
-
-    def entry(dy: float, dz: float) -> float:
-        nonlocal fallbacks
-        value, used_quad = _iso_entry_impl(dy, dz, tol)
-        fallbacks += used_quad
-        return value
-
-    entries = even_separation_matrix(geometry, entry)
-    meta = {"series_tol": tol, "quadrature_fallback_pairs": fallbacks}
+    """Isotropic spatial correlation matrix: ``iso_entry`` on the offset grid."""
+    entries = even_separation_matrix(geometry, partial(iso_entry, tol=tol))
+    fallbacks = np.count_nonzero(np.hypot(*unsigned_offsets(geometry)) > SERIES_RADIUS)
+    meta = {"series_tol": tol, "quadrature_fallback_pairs": int(fallbacks)}
     return psd_clamp(entries, kind="isotropic", meta=meta)
 
 
@@ -231,15 +244,17 @@ def quadrature_entry(
     outputs are the cos and sin parts of every offset, so the refinement is
     shared and runs until the worst offset meets its target.  Raises
     QuadratureError when an offset's error estimate (cos part plus sin part)
-    exceeds ten times ``abs_tol``.
+    exceeds ten times ``abs_tol``, and before integrating when an offset lies
+    beyond the 100 wavelengths the default budget is checked on.
     """
-    from scipy.integrate import cubature  # only this oracle loads scipy.integrate
-
     opts = opts or QuadratureOptions()
     offsets = np.asarray(delta_r, dtype=float)
     stack = np.atleast_2d(offsets)
     if stack.ndim != 2 or stack.shape[1] != 3:
         raise ValueError(f"offsets must have shape (3,) or (n, 3), got {offsets.shape}")
+    _check_separation("quadrature", stack)
+    from scipy.integrate import cubature  # only this oracle loads scipy.integrate
+
     wave = 2.0 * math.pi * stack
 
     def integrand(nodes):
@@ -540,36 +555,27 @@ def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> Covarian
     Each cluster is integrated on its own panel-refined Gauss-Legendre grid,
     sum-factorized over the two axes (``_cluster_offset_table``): the cost is
     one azimuth table per cluster, not one product-grid sum per offset.
-    Entries depend only on element separations; the half-plane of offsets is
-    kept and the rest mirrored by conjugation.  A doubled-order pass over
-    that half-plane provides the error estimate.
+    The tables cover the y-steps a >= 0; the offsets with a < 0 are mirrored
+    by conjugation.  A doubled-order pass provides the error estimate.
     """
-    ny, nz = geometry.m_y, geometry.m_z
-    steps_y, steps_z = np.meshgrid(np.arange(ny), np.arange(1 - nz, nz), indexing="ij")
-    # conj(value(-dy, -dz)) = value(dy, dz) exactly, so keep half the grid:
-    # every y-step a > 0, and the z-steps b >= 0 at a = 0
-    half = (steps_y > 0) | (steps_z >= 0)
-    a, b = steps_y[half], steps_z[half]
 
-    def half_plane_values(order: int) -> np.ndarray:
+    def offset_table(order: int) -> np.ndarray:
         return sum(
             _cluster_offset_table(scenario, n, geometry, order)
             for n in range(len(scenario.clusters))
-        )[half]
+        )
 
-    vals_base = half_plane_values(_GL_ORDER_BASE)
-    vals_refined = half_plane_values(_GL_ORDER_REFINED)
-    err = float(np.abs(vals_base - vals_refined).max())
+    base = offset_table(_GL_ORDER_BASE)
+    table = offset_table(_GL_ORDER_REFINED)
+    err = float(np.abs(base - table).max())
     if err > _QUADRATURE_ERROR_LIMIT:
         raise QuadratureError(
             f"cluster quadrature error estimate {err:.3e} exceeds "
             f"{_QUADRATURE_ERROR_LIMIT:.3e}",
             estimate=err,
         )
-    grid = np.zeros((2 * ny - 1, 2 * nz - 1), dtype=complex)
-    grid[a + ny - 1, b + nz - 1] = vals_refined
-    # the mirror goes second, so the (0, 0) cell holds conj(value)
-    grid[-a + ny - 1, -b + nz - 1] = np.conj(vals_refined)
+    # conj(value(-dy, -dz)) = value(dy, dz) exactly
+    grid = np.concatenate((table[:0:-1, ::-1].conj(), table))
     entries = separation_fill(geometry, grid)
     meta = {
         "quad_error_estimate": err,

@@ -6,7 +6,8 @@ height), collinear (same vertical axis), and parallel-in-echelon (offset in
 both).  The collinear closed form diverges logarithmically when the element
 ranges overlap end-to-end; that regime is regularized by falling back to the
 echelon form evaluated at a lateral offset of one wire radius, which is the
-same device the induced-EMF self impedance uses.
+same device the induced-EMF self impedance uses.  Every closed form takes
+scalars or arrays of offsets.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ class GeometryOverlapWarning(UserWarning):
     """Vertically adjacent dipoles overlap; closed forms are extrapolated."""
 
 
-def _check_thin(length: float, radius: float) -> None:
-    if length <= 0 or radius <= 0:
+def _check_thin(length, radius) -> None:
+    if np.any(length <= 0) or np.any(radius <= 0):
         raise ValueError("dipole dimensions must be positive")
-    if radius >= length / 10.0:
+    if np.any(radius >= length / 10.0):
         raise ValueError("thin-dipole regime requires radius < length/10")
 
 
-def self_impedance(dipole_length: float, dipole_radius: float) -> complex:
+def self_impedance(dipole_length, dipole_radius):
     """Induced-EMF self impedance of a thin dipole (lengths in wavelengths)."""
     _check_thin(dipole_length, dipole_radius)
     kl = _TWO_PI * dipole_length
@@ -65,14 +66,14 @@ def self_impedance(dipole_length: float, dipole_radius: float) -> complex:
         / (2.0 * math.pi)
         * (
             EULER_GAMMA
-            + math.log(kl)
+            + np.log(kl)
             - cos_integral(kl)
-            + 0.5 * math.sin(kl) * (sin_integral(2.0 * kl) - 2.0 * sin_integral(kl))
+            + 0.5 * np.sin(kl) * (sin_integral(2.0 * kl) - 2.0 * sin_integral(kl))
             + 0.5
-            * math.cos(kl)
+            * np.cos(kl)
             * (
                 EULER_GAMMA
-                + math.log(kl / 2.0)
+                + np.log(kl / 2.0)
                 + cos_integral(2.0 * kl)
                 - 2.0 * cos_integral(kl)
             )
@@ -83,8 +84,8 @@ def self_impedance(dipole_length: float, dipole_radius: float) -> complex:
         / (4.0 * math.pi)
         * (
             2.0 * sin_integral(kl)
-            + math.cos(kl) * (2.0 * sin_integral(kl) - sin_integral(2.0 * kl))
-            - math.sin(kl)
+            + np.cos(kl) * (2.0 * sin_integral(kl) - sin_integral(2.0 * kl))
+            - np.sin(kl)
             * (
                 2.0 * cos_integral(kl)
                 - cos_integral(2.0 * kl)
@@ -92,15 +93,15 @@ def self_impedance(dipole_length: float, dipole_radius: float) -> complex:
             )
         )
     )
-    return complex(resistance, reactance)
+    return resistance + 1j * reactance
 
 
-def mutual_impedance_side_by_side(d: float, length: float = 0.5) -> complex:
+def mutual_impedance_side_by_side(d, length: float = 0.5):
     """Mutual impedance of parallel dipoles at the same height, spacing d."""
-    if d <= 0:
+    if np.any(d <= 0):
         raise ValueError("side-by-side spacing must be positive")
     u0 = _TWO_PI * d
-    diag = math.hypot(d, length)
+    diag = np.hypot(d, length)
     u1 = _TWO_PI * (diag + length)
     u2 = _TWO_PI * (diag - length)
     scale = ETA0 / (4.0 * math.pi)
@@ -110,19 +111,19 @@ def mutual_impedance_side_by_side(d: float, length: float = 0.5) -> complex:
     reactance = -scale * (
         2.0 * sin_integral(u0) - sin_integral(u1) - sin_integral(u2)
     )
-    return complex(resistance, reactance)
+    return resistance + 1j * reactance
 
 
-def mutual_impedance_echelon(d: float, h: float, length: float = 0.5) -> complex:
+def mutual_impedance_echelon(d, h, length: float = 0.5):
     """Mutual impedance for lateral offset d > 0 and vertical offset h."""
-    if d <= 0:
+    if np.any(d <= 0):
         raise ValueError("echelon lateral offset must be positive")
-    h = abs(h)
+    h = np.abs(h)
     k = _TWO_PI
     beta = k * h
-    r0 = math.hypot(d, h)
-    rm = math.hypot(d, h - length)
-    rp = math.hypot(d, h + length)
+    r0 = np.hypot(d, h)
+    rm = np.hypot(d, h - length)
+    rp = np.hypot(d, h + length)
     w1 = k * (r0 + h)
     w1p = k * (r0 - h)
     w2 = k * (rm + (h - length))
@@ -132,7 +133,7 @@ def mutual_impedance_echelon(d: float, h: float, length: float = 0.5) -> complex
     ci = cos_integral
     si = sin_integral
     scale = ETA0 / (8.0 * math.pi)
-    cos_b, sin_b = math.cos(beta), math.sin(beta)
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
     resistance = -scale * cos_b * (
         -2.0 * ci(w1) - 2.0 * ci(w1p) + ci(w2) + ci(w2p) + ci(w3) + ci(w3p)
     ) + scale * sin_b * (
@@ -143,47 +144,49 @@ def mutual_impedance_echelon(d: float, h: float, length: float = 0.5) -> complex
     ) + scale * sin_b * (
         2.0 * ci(w1) - 2.0 * ci(w1p) - ci(w2) + ci(w2p) - ci(w3) + ci(w3p)
     )
-    return complex(resistance, reactance)
+    return resistance + 1j * reactance
 
 
-def mutual_impedance_collinear(
-    h: float, length: float = 0.5, radius: float = 1.0 / 500.0
-) -> complex:
+def mutual_impedance_collinear(h, length: float = 0.5, radius: float = 1.0 / 500.0):
     """Mutual impedance of dipoles on a common axis, center offset h > 0.
 
     For h <= length (overlapping element ranges) the collinear closed form
     has no real logarithm; the value is then the echelon form at a lateral
     offset of one wire radius.
     """
-    if h <= 0:
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
         raise ValueError("collinear offset must be positive")
-    if h <= length + 10.0 * radius:
-        return mutual_impedance_echelon(radius, h, length)
+    overlap = h <= length + 10.0 * radius
+    z = np.empty(h.shape, dtype=complex)
+    z[overlap] = mutual_impedance_echelon(radius, h[overlap], length)
+    h = h[~overlap]
     k = _TWO_PI
     beta = k * h
     v0 = 2.0 * k * h
     vm = 2.0 * k * (h - length)
     vp = 2.0 * k * (h + length)
-    log_term = math.log((h * h - length * length) / (h * h))
+    log_term = np.log((h * h - length * length) / (h * h))
     ci = cos_integral
     si = sin_integral
     scale = ETA0 / (8.0 * math.pi)
-    cos_b, sin_b = math.cos(beta), math.sin(beta)
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
     resistance = -scale * cos_b * (
         -2.0 * ci(v0) + ci(vm) + ci(vp) - log_term
     ) + scale * sin_b * (2.0 * si(v0) - si(vm) - si(vp))
     reactance = -scale * cos_b * (
         2.0 * si(v0) - si(vm) - si(vp)
     ) + scale * sin_b * (2.0 * ci(v0) - ci(vm) - ci(vp) - log_term)
-    return complex(resistance, reactance)
+    z[~overlap] = resistance + 1j * reactance
+    return z[()]
 
 
 def impedance_matrix(geometry: UpaGeometry) -> np.ndarray:
     """Pairwise mutual impedance matrix of the array, symmetric by construction.
 
-    Dispatch by element offset: same position -> self impedance, pure
-    horizontal -> side-by-side, pure vertical -> collinear, otherwise echelon.
-    Each unsigned offset is evaluated once.
+    Each closed form is called once, on its slice of the unsigned offset
+    grid: [0, 0] self impedance, [1:, 0] side-by-side (horizontal offsets),
+    [0, 1:] collinear (vertical offsets) and [1:, 1:] echelon.
     """
     length = geometry.dipole_length
     radius = geometry.dipole_radius
@@ -195,16 +198,15 @@ def impedance_matrix(geometry: UpaGeometry) -> np.ndarray:
             stacklevel=2,
         )
 
-    def pair_impedance(dy: float, dz: float) -> complex:
-        if dy == 0.0 and dz == 0.0:
-            return self_impedance(length, radius)
-        if dz == 0.0:
-            return mutual_impedance_side_by_side(dy, length)
-        if dy == 0.0:
-            return mutual_impedance_collinear(dz, length, radius)
-        return mutual_impedance_echelon(dy, dz, length)
+    def grid_impedance(dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        z = np.empty(dy.shape, dtype=complex)
+        z[0, 0] = self_impedance(length, radius)
+        z[1:, 0] = mutual_impedance_side_by_side(dy[1:, 0], length)
+        z[0, 1:] = mutual_impedance_collinear(dz[0, 1:], length, radius)
+        z[1:, 1:] = mutual_impedance_echelon(dy[1:, 1:], dz[1:, 1:], length)
+        return z
 
-    return even_separation_matrix(geometry, pair_impedance)
+    return even_separation_matrix(geometry, grid_impedance)
 
 
 def dissipation_resistance(

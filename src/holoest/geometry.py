@@ -1,9 +1,8 @@
 """Uniform planar array geometry in the yz-plane and plane-wave response.
 
 Also owns the separation layout: every matrix of the array whose entries
-depend only on the element pair's offset is assembled from a grid of
-per-offset values by ``separation_fill``, ``even_separation_matrix`` or
-``even_separation_fill``.
+depend only on the element pair's offset is assembled by ``separation_fill``
+from a grid of values at signed offsets, or by ``even_separation_matrix``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ __all__ = [
     "Direction",
     "element_positions",
     "separation_fill",
+    "unsigned_offsets",
     "even_separation_matrix",
-    "even_separation_fill",
     "array_response",
 ]
 
@@ -96,27 +95,20 @@ def separation_fill(geometry: UpaGeometry, grid: np.ndarray) -> np.ndarray:
     return grid[idy, idz]
 
 
-def even_separation_matrix(geometry: UpaGeometry, entry) -> np.ndarray:
+def unsigned_offsets(geometry: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(My, Mz) arrays of unsigned offsets in wavelengths: a d_y and b d_z at [a, b]."""
+    a, b = np.indices((geometry.m_y, geometry.m_z))
+    return a * geometry.d_y, b * geometry.d_z
+
+
+def even_separation_matrix(geometry: UpaGeometry, evaluate) -> np.ndarray:
     """Full matrix of entries that depend on |dy|, |dz| only.
 
-    Calls ``entry(dy, dz)`` once per unsigned offset (wavelength units) and
-    mirrors the values onto the signed-separation grid.
+    Calls ``evaluate(dy, dz)`` once, with the arrays of ``unsigned_offsets``,
+    and mirrors the returned (My, Mz) grid onto every pair whose y-index and
+    z-index differences are +-a and +-b.
     """
-    unsigned = np.array(
-        [
-            [entry(a * geometry.d_y, b * geometry.d_z) for b in range(geometry.m_z)]
-            for a in range(geometry.m_y)
-        ]
-    )
-    return even_separation_fill(geometry, unsigned)
-
-
-def even_separation_fill(geometry: UpaGeometry, unsigned: np.ndarray) -> np.ndarray:
-    """Full matrix from an (My, Mz) grid of values at unsigned offsets.
-
-    ``unsigned[a, b]`` is the entry of every pair whose y-index and z-index
-    differences are +-a and +-b.
-    """
+    unsigned = evaluate(*unsigned_offsets(geometry))
     iy = np.abs(np.arange(1 - geometry.m_y, geometry.m_y))
     iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
     return separation_fill(geometry, unsigned[np.ix_(iy, iz)])

@@ -1,10 +1,10 @@
 """Sine/cosine integrals and log-domain series coefficients.
 
 The impedance closed forms consume Si/Ci at arguments up to a few hundred;
-``sin_integral`` and ``cos_integral`` are scalar wrappers over
-``scipy.special.sici`` that reject arguments outside the real domain.  The
-isotropic-correlation series needs its coefficients evaluated far past the
-point where the factorials involved overflow a double.  All are pure
+``sin_integral`` and ``cos_integral`` are wrappers over ``scipy.special.sici``
+that take scalars or arrays and reject any argument outside the real domain.
+The isotropic-correlation series needs its coefficients evaluated far past
+the point where the factorials involved overflow a double.  All are pure
 functions.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import sici
 
 __all__ = [
@@ -30,18 +31,18 @@ EULER_GAMMA = 0.5772156649015328606
 DIPOLE_DIRECTIVITY = 1.67
 
 
-def sin_integral(x: float) -> float:
-    """Si(x) = integral of sin(t)/t from 0 to x.  Odd in x."""
-    if not math.isfinite(x):
+def sin_integral(x):
+    """Si(x) = integral of sin(t)/t from 0 to x, elementwise.  Odd in x."""
+    if not np.all(np.isfinite(x)):
         raise ValueError("sin_integral requires finite x")
-    return float(sici(x)[0])
+    return sici(x)[0]
 
 
-def cos_integral(x: float) -> float:
-    """Ci(x) = -integral of cos(t)/t from x to infinity, for finite x > 0."""
-    if not (x > 0 and math.isfinite(x)):
+def cos_integral(x):
+    """Ci(x) = -integral of cos(t)/t from x to infinity, elementwise; finite x > 0."""
+    if not np.all((x > 0) & np.isfinite(x)):
         raise ValueError("cos_integral requires finite x > 0")
-    return float(sici(x)[1])
+    return sici(x)[1]
 
 
 def _log_binomial(n: int, r: int) -> float:

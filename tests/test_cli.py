@@ -295,6 +295,22 @@ class TestCorrelationCommand:
         for iso, quad in zip(values["iso"], values["quadrature"]):
             assert quad == pytest.approx(iso, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "mode, offset", [("quadrature", "(0.0, 100.0, 0.2)"), ("iso", "(100.0, 0.2)")]
+    )
+    def test_separation_beyond_checked_range_exits_3(self, tmp_path, capsys, mode, offset):
+        # offsets reach 180 wavelengths; the quadrature oracle used to refine
+        # for about 4 minutes before giving up
+        path = tmp_path / "far.cfg"
+        path.write_text("geometry.d_y = 20\n", encoding="utf-8")
+        out = tmp_path / "far.csv"
+        argv = ["--config", str(path), "--quiet", "correlation", "--mode", mode]
+        assert main([*argv, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: ")
+        assert offset in lines[0] and "checked range of 100" in lines[0]
+        assert not out.exists()
+
 
 _CLUSTER = {"power": 1.0, "azimuth": 0.1, "elevation": -0.2, "sigma_phi": 0.05}
 

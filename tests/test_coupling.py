@@ -69,6 +69,8 @@ class TestSelfImpedance:
     def test_rejects_thick_dipole(self):
         with pytest.raises(ValueError):
             self_impedance(0.5, 0.06)
+        with pytest.raises(ValueError):
+            self_impedance(0.5, np.array([0.002, 0.06]))
 
 
 class TestSideBySide:
@@ -89,6 +91,8 @@ class TestSideBySide:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             mutual_impedance_side_by_side(0.0)
+        with pytest.raises(ValueError):
+            mutual_impedance_side_by_side(np.array([0.5, 0.0, 1.0]))
 
 
 class TestCollinear:
@@ -116,6 +120,8 @@ class TestCollinear:
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValueError):
             mutual_impedance_collinear(0.0)
+        with pytest.raises(ValueError):
+            mutual_impedance_collinear(np.array([1.0, 0.0, 0.3]))
 
 
 class TestEchelon:
@@ -136,6 +142,8 @@ class TestEchelon:
     def test_rejects_nonpositive_lateral_offset(self):
         with pytest.raises(ValueError):
             mutual_impedance_echelon(0.0, 0.5)
+        with pytest.raises(ValueError):
+            mutual_impedance_echelon(np.array([0.5, 0.0, 1.0]), 0.5)
 
 
 class TestImpedanceMatrix:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from holoest import correlation
 from holoest.correlation import iso_entry, iso_matrix
 from holoest.coupling import (
     impedance_matrix,
@@ -96,25 +97,37 @@ def _pair_impedance(geom, dy, dz):
     return mutual_impedance_echelon(dy, dz, length)
 
 
+def _iso_entries_before_clamp(geom, monkeypatch):
+    built = []
+    monkeypatch.setattr(correlation, "psd_clamp", lambda entries, **_: built.append(entries))
+    iso_matrix(geom)
+    return built[0]
+
+
 @pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
 @pytest.mark.parametrize(
     "build, pair",
     [
-        (lambda g: even_separation_matrix(g, complex), lambda g, dy, dz: complex(dy, dz)),
-        (impedance_matrix, _pair_impedance),
-        (lambda g: iso_matrix(g).entries, lambda g, dy, dz: iso_entry(dy, dz)),
+        (
+            lambda g, _: even_separation_matrix(g, lambda dy, dz: dy + 1j * dz),
+            lambda g, dy, dz: complex(dy, dz),
+        ),
+        (lambda g, _: impedance_matrix(g), _pair_impedance),
+        (_iso_entries_before_clamp, lambda g, dy, dz: iso_entry(dy, dz)),
     ],
     ids=["layout", "impedance", "iso"],
 )
-def test_entries_follow_element_separation(build, pair):
-    # non-square, with d_y != d_z, so a swapped axis or transposed layout shows
+def test_entries_follow_element_separation(build, pair, monkeypatch):
+    # non-square, with d_y != d_z, so a swapped axis or transposed layout
+    # shows; the grid evaluators must reproduce the scalar calls exactly
     geom = UpaGeometry(m_y=3, m_z=5, d_y=0.3, d_z=0.45)
-    matrix = build(geom)
+    matrix = build(geom, monkeypatch)
     pos = element_positions(geom)
     expected = {}
     for n in range(geom.size):
         for j in range(geom.size):
-            _, dy, dz = np.abs(pos[n] - pos[j]).round(12)
-            if (dy, dz) not in expected:
-                expected[dy, dz] = pair(geom, dy, dz)
-            assert matrix[n, j] == pytest.approx(expected[dy, dz], abs=1e-9)
+            _, dy, dz = np.abs(pos[n] - pos[j])
+            a, b = round(dy / geom.d_y), round(dz / geom.d_z)
+            if (a, b) not in expected:
+                expected[a, b] = pair(geom, a * geom.d_y, b * geom.d_z)
+            assert matrix[n, j] == expected[a, b]

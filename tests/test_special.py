@@ -66,12 +66,16 @@ def test_ci_domain_errors():
     for x in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             cos_integral(x)
+        with pytest.raises(ValueError):
+            cos_integral(np.array([1.0, x, 2.0]))
 
 
 def test_si_rejects_non_finite():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             sin_integral(x)
+        with pytest.raises(ValueError):
+            sin_integral(np.array([1.0, x, 2.0]))
 
 
 @given(st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False))
