@@ -27,7 +27,7 @@ from .correlation import (
     isotropic_scattering,
     quadrature_entry,
 )
-from .experiments import ValidationFailure, build_channel, run_sweep
+from .experiments import ValidationFailure, build_channel, pilot_snr, run_sweep
 from .geometry import even_separation_matrix, unsigned_offsets
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
@@ -35,6 +35,8 @@ from .special import DIPOLE_DIRECTIVITY
 __all__ = ["main", "entrypoint"]
 
 _ZERO_SEPARATION_VALUE = DIPOLE_DIRECTIVITY * 3.0 * math.pi / 16.0
+# SNR points (dB) of validate's eigen-expansion and Monte Carlo checks
+_VALIDATE_SNR_DB = (-10.0, 0.0, 10.0, 20.0)
 
 _SVG_COLORS = {
     est.MMSE_TRUE: "#1f77b4",
@@ -285,7 +287,7 @@ def _validate_checks(sweep_config, channel):
 
     # the sweep reports the sum over each prior's modes; this guards that
     # route against the dense error-covariance trace of each built filter
-    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+    rhos = [pilot_snr(snr_db) for snr_db in _VALIDATE_SNR_DB]
     worst_rel = 0.0
     for kind in est.ESTIMATOR_KINDS:
         expansion = est.mse_eigen_expansion(channel.prior(kind), channel.r_mc, rhos)
@@ -299,7 +301,7 @@ def _validate_checks(sweep_config, channel):
     trials = max(min(sweep_config.mc_trials, 20_000), 1000)
     mc_config = replace(
         sweep_config,
-        snr_grid_db=(-10.0, 0.0, 10.0, 20.0),
+        snr_grid_db=_VALIDATE_SNR_DB,
         mc_trials=trials,
         validation_mode=False,
     )

@@ -1,10 +1,11 @@
 """Line-oriented configuration files: ``section.key = value``.
 
 Plain text with ``#`` comments; unknown sections or keys, numbers that are
-not finite, SNR points whose pilot SNR is not a finite positive double and
-start:step:stop grids of more than 10000 points are rejected with the
-offending line number so scenario files stay diffable and typo-proof.  All
-physical quantities carry their units in REFERENCE_CONFIG.
+not finite, SNR points whose pilot SNR is not a finite positive double,
+start:step:stop grids of more than 10000 points, repeated estimators and a
+series tolerance outside (0, 1e-6] are rejected with the offending line
+number so scenario files stay diffable and typo-proof.  All physical
+quantities carry their units in REFERENCE_CONFIG.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import estimation as est
-from .correlation import ClusterScenario
+from .correlation import ClusterScenario, check_series_tol
 from .experiments import CouplingConfig, SweepConfig, pilot_snr
 from .geometry import UpaGeometry
 
@@ -41,7 +42,7 @@ coupling.use_full_impedance = false
 scenario.kind = isotropic
 scenario.file =
 scenario.seed =
-scenario.series_tol = 1e-12       # truncation of the isotropic series
+scenario.series_tol = 1e-12       # truncation of the isotropic series, at most 1e-6
 
 # SNR sweep (start:step:stop inclusive, at most 10000 points, or a list, in dB)
 sweep.snr_db = -10:2:24
@@ -116,6 +117,8 @@ def _parse_estimators(raw: str) -> tuple[str, ...]:
             raise ValueError(f"unknown estimator {kind!r}")
     if not kinds:
         raise ValueError("estimator list is empty")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"estimator list repeats a kind: {raw.strip()!r}")
     return kinds
 
 
@@ -138,7 +141,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "kind": (str, "isotropic"),
         "file": (str, ""),
         "seed": (_int_at_least(0), None),
-        "series_tol": (_parse_float, 1e-12),
+        "series_tol": (lambda raw: check_series_tol(_parse_float(raw)), 1e-12),
     },
     "sweep": {
         "snr_db": (_parse_snr_grid, tuple(range(-10, 25, 2))),

@@ -230,22 +230,20 @@ def dissipation_resistance(
 
 @dataclass(eq=False)
 class CouplingModel:
-    """Impedance matrix, loss resistance, and the derived coupling matrix.
+    """Impedance matrix, loss resistance, and the coupling square root C^(1/2).
 
-    ``coupling`` is (Re Z + R_d I)^-1 by default (symmetric positive
-    definite); with ``use_full_impedance`` the full complex-symmetric
-    (Z + R_d I)^-1 and its principal square root are used instead, for
-    sensitivity studies.  Either way the matrix is rescaled by the scalar
-    that makes the coupled isotropic channel keep its uncoupled power, so
-    the coupling is dimensionless and mismatch penalties between estimators
-    reflect structure rather than an arbitrary ohm scale.
+    C is (Re Z + R_d I)^-1 by default, so C^(1/2) is real symmetric positive
+    definite; with ``use_full_impedance`` C is the full complex-symmetric
+    (Z + R_d I)^-1 and C^(1/2) its principal square root, for sensitivity
+    studies.  Either way C^(1/2) is rescaled so that the coupled isotropic
+    channel keeps its uncoupled power: the coupling is dimensionless and
+    mismatch penalties between estimators reflect structure rather than an
+    arbitrary ohm scale.  C itself is never formed.
     """
 
     impedance: np.ndarray
     r_dissipation: float
-    coupling: np.ndarray
     coupling_sqrt: np.ndarray
-    use_full_impedance: bool = False
     meta: dict = field(default_factory=dict)
 
     @property
@@ -263,16 +261,15 @@ def coupling_model(
     """Build the coupling model for the array at the given operating point.
 
     ``r_iso`` (the array's isotropic correlation) fixes the power-preserving
-    normalization.
+    normalization.  The default path is one eigendecomposition of
+    Re Z + R_d I and two M x M products: C^(1/2) itself and C^(1/2) R_iso.
     """
     z = impedance_matrix(geometry)
     r_d = dissipation_resistance(geometry, frequency, conductivity)
     if use_full_impedance:
         from scipy.linalg import sqrtm
 
-        total = z + r_d * np.eye(geometry.size)
-        coupling = np.linalg.inv(total)
-        root = np.asarray(sqrtm(coupling))
+        root = np.asarray(sqrtm(np.linalg.inv(z + r_d * np.eye(geometry.size))))
     else:
         resist = z.real + r_d * np.eye(geometry.size)
         eig = hermitian_eig(resist)
@@ -281,15 +278,12 @@ def coupling_model(
                 "resistance matrix plus dissipation is not positive definite "
                 f"(min eigenvalue {eig.values[-1]:.3e})"
             )
-        inv_vals = 1.0 / eig.values
-        coupling = (eig.basis * inv_vals) @ eig.basis.T
-        root = (eig.basis * np.sqrt(inv_vals)) @ eig.basis.T
-    coupled_power = float(np.trace(root @ r_iso.entries @ root.conj().T).real)
+        root = (eig.basis * np.sqrt(1.0 / eig.values)) @ eig.basis.T
+    # tr(C^(1/2) R C^(1/2)^H) = sum of (C^(1/2) R) * conj(C^(1/2)), entrywise
+    coupled_power = float(np.vdot(root, root @ r_iso.entries).real)
     scale = r_iso.trace() / coupled_power
-    coupling = scale * coupling
     root = math.sqrt(scale) * root
     if not use_full_impedance:
-        coupling = 0.5 * (coupling + coupling.T)
         root = 0.5 * (root + root.T)
     meta = {
         "frequency_hz": frequency,
@@ -297,14 +291,7 @@ def coupling_model(
         "normalization_scale_per_ohm": scale,
         "r_dissipation_ohm": r_d,
     }
-    return CouplingModel(
-        impedance=z,
-        r_dissipation=r_d,
-        coupling=coupling,
-        coupling_sqrt=root,
-        use_full_impedance=use_full_impedance,
-        meta=meta,
-    )
+    return CouplingModel(impedance=z, r_dissipation=r_d, coupling_sqrt=root, meta=meta)
 
 
 def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> CovarianceMatrix:

@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import estimation as est
-from .correlation import AngularCluster, ClusterScenario, cluster_matrix, iso_matrix
+from .correlation import (
+    AngularCluster,
+    ClusterScenario,
+    check_series_tol,
+    cluster_matrix,
+    iso_matrix,
+)
 from .coupling import CouplingModel, coupling_model, effective_correlation
 from .geometry import UpaGeometry
 from .linalg import CovarianceMatrix, psd_sqrt
@@ -104,8 +110,9 @@ class SweepConfig:
         for kind in self.estimators:
             if kind not in est.ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator kind {kind!r}")
-        if not (self.series_tol > 0 and math.isfinite(self.series_tol)):
-            raise ValueError("series_tol must be positive and finite")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators repeat a kind: {', '.join(self.estimators)}")
+        check_series_tol(self.series_tol)
 
 
 def pilot_snr(snr_db: float) -> float:
@@ -427,7 +434,6 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
         channel = build_channel(config)
     elif channel.source != _channel_source(config):
         raise ValueError("channel was built from a different configuration")
-    geometry = config.geometry
     r_mc = channel.r_mc
     trace_mc = r_mc.trace()
     rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
@@ -497,18 +503,9 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
         "mc_trials": config.mc_trials,
         "snr_grid_db": list(config.snr_grid_db),
         "estimators": list(config.estimators),
-        "geometry": {
-            "m_y": geometry.m_y,
-            "m_z": geometry.m_z,
-            "d_y": geometry.d_y,
-            "d_z": geometry.d_z,
-            "dipole_length": geometry.dipole_length,
-            "dipole_radius": geometry.dipole_radius,
-        },
+        "geometry": asdict(config.geometry),
         "coupling": {
-            "frequency": config.coupling.frequency,
-            "conductivity": config.coupling.conductivity,
-            "use_full_impedance": config.coupling.use_full_impedance,
+            **asdict(config.coupling),
             "r_dissipation": channel.model.r_dissipation,
         },
     }

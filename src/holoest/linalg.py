@@ -1,10 +1,11 @@
 """Dense Hermitian eigen-machinery and the PSD covariance type.
 
-Thin wrappers over numpy.linalg with the ordering, phase and rank conventions
-the rest of the package relies on: eigenvalues nonincreasing, each eigenvector
-phase-normalized so its largest-magnitude entry is real positive, and a single
-relative tolerance for every numerical-rank decision.  This is the only module
-that clamps, rebuilds or decomposes a PSD matrix.
+Thin wrappers over numpy.linalg with the ordering and rank conventions the
+rest of the package relies on: eigenvalues nonincreasing and a single relative
+tolerance for every numerical-rank decision.  Eigen- and singular vectors keep
+the phases LAPACK gives them: no filter, MSE, square root, rank or projector
+depends on them.  This is the only module that clamps, rebuilds or decomposes
+a PSD matrix.
 """
 
 from __future__ import annotations
@@ -112,30 +113,18 @@ def _require_hermitian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _normalize_phases(basis: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of every column real positive."""
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
 def hermitian_eig(a) -> Eigendecomposition:
     """Eigendecomposition of a Hermitian matrix, values nonincreasing.
 
-    Eigenvectors are phase-normalized.  Inside a group of (numerically) equal
-    eigenvalues the basis is whichever one ``eigh`` returns: repeated calls on
-    the same input give the same columns, and nothing downstream (filters,
-    MSE, square roots, ranks, projectors) depends on the choice.
+    Each eigenvector, and inside a group of (numerically) equal eigenvalues
+    the basis, is whichever one ``eigh`` returns: repeated calls on the same
+    input give the same columns, and nothing downstream (filters, MSE, square
+    roots, ranks, projectors) depends on the choice.
     """
     arr = _require_hermitian(_as_square(a))
     values, basis = np.linalg.eigh(arr)
     values = values[::-1].copy()
-    basis = _normalize_phases(basis[:, ::-1])
+    basis = basis[:, ::-1].copy()
     return Eigendecomposition(basis=basis, values=values)
 
 
@@ -217,7 +206,7 @@ def subspace_contained(
 
 
 def thin_svd(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-normalized left singular vectors and singular values of a factor.
+    """Left singular vectors, as LAPACK returns them, and singular values.
 
     LAPACK gesdd, retried with the slower but sturdier gesvd when it fails.
     """
@@ -227,7 +216,7 @@ def thin_svd(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         from scipy.linalg import svd
 
         u, s, _ = svd(factor, full_matrices=False, lapack_driver="gesvd")
-    return _normalize_phases(u), s
+    return u, s
 
 
 def orthonormal_column_basis(factor: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import holoest
-from holoest import correlation, coupling, linalg
+from holoest import cli, correlation, coupling, linalg
 from holoest.cli import main
 from holoest.config import ConfigError, load_config, parse_config
 
@@ -200,6 +200,32 @@ class TestConfigParsing:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "sweep.snr_db" in lines[0] and snr_db in lines[0]
         assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1e300", "1.5e-6", "0"])
+    def test_series_tolerance_outside_domain_rejected(self, tmp_path, capsys, value):
+        # above 1e-6 the series' truncation error can pass the 1e-6 that
+        # validate allows; 1e300 used to exit 0 with a wrong R_iso
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"geometry.m_y = 2\nscenario.series_tol = {value}\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{path}:2" in lines[0] and "scenario.series_tol" in lines[0]
+        assert not out_dir.exists()
+
+    def test_repeated_estimator_rejected(self, tmp_path, capsys):
+        # ls,ls used to write every ls row twice
+        path = tmp_path / "bad.cfg"
+        path.write_text("geometry.m_y = 2\nsweep.estimators = ls, mmse_iso, ls\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{path}:2" in lines[0] and "sweep.estimators" in lines[0]
+        assert not out_dir.exists()
 
     def test_defaults_without_file(self):
         config = load_config(None)
@@ -465,10 +491,14 @@ class TestValidateCommand:
         assert main(["--config", small_cfg, "--quiet", "validate"]) == 0
         assert len(eig_calls) == 2
 
-    def test_corrupted_series_tolerance_fails(self, tmp_path, capsys):
-        path = tmp_path / "broken.cfg"
-        path.write_text(SMALL + "scenario.series_tol = 1e3\n", encoding="utf-8")
-        code = main(["--config", str(path), "--quiet", "validate"])
+    def test_corrupted_series_tolerance_fails(self, small_cfg, capsys, monkeypatch):
+        # a series tolerance that corrupts the entries is rejected when parsed,
+        # so the fault is injected into the series validate checks instead
+        def corrupted(dy, dz, tol):
+            return correlation.iso_entry(dy, dz, tol=tol) + 1e-3
+
+        monkeypatch.setattr(cli, "iso_entry", corrupted)
+        code = main(["--config", small_cfg, "--quiet", "validate"])
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL  series_vs_quadrature" in out

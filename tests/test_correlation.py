@@ -51,9 +51,12 @@ class TestIsoEntry:
         assert value == pytest.approx(oracle.real, abs=1e-8)
 
     def test_rejects_bad_tolerance(self):
-        for tol in (0.0, math.nan):
+        # above MAX_SERIES_TOL the truncation error can pass 1e-6; from 1 on
+        # the series stops after its first layer
+        for tol in (0.0, math.nan, math.inf, 1.1e-6, 1.0, 1e300):
             with pytest.raises(ValueError):
                 iso_entry(0.1, 0.1, tol=tol)
+        assert iso_entry(0.1, 0.1, tol=1e-6) == pytest.approx(iso_entry(0.1, 0.1), abs=1e-7)
 
 
 class TestBesselRule:

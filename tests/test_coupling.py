@@ -206,39 +206,47 @@ class TestDissipationResistance:
             dissipation_resistance(geom, 3e9, -1.0)
 
 
+def squared(model: CouplingModel) -> np.ndarray:
+    """The normalized coupling matrix C, from the model's C^(1/2)."""
+    return model.coupling_sqrt @ model.coupling_sqrt
+
+
 class TestCouplingModel:
     def test_single_antenna_normalizes_to_identity(self):
         geom = UpaGeometry(m_y=1, m_z=1, d_y=0.5, d_z=0.5)
         model = coupling_model(geom, r_iso=iso_matrix(geom))
-        assert model.coupling.shape == (1, 1)
-        assert model.coupling[0, 0] == pytest.approx(1.0, rel=1e-12)
+        c = squared(model)
+        assert c.shape == (1, 1)
+        assert c[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_widely_spaced_pair_decouples(self):
         geom = UpaGeometry(m_y=2, m_z=1, d_y=50.0, d_z=0.5)
-        model = coupling_model(geom, r_iso=iso_matrix(geom))
-        off = abs(model.coupling[0, 1])
-        diag = abs(model.coupling[0, 0])
-        assert off / diag < 1e-3
-        assert model.coupling[0, 0] == pytest.approx(1.0, rel=1e-3)
+        c = squared(coupling_model(geom, r_iso=iso_matrix(geom)))
+        assert abs(c[0, 1]) / abs(c[0, 0]) < 1e-3
+        assert c[0, 0] == pytest.approx(1.0, rel=1e-3)
 
     def test_dense_array_strictly_coupled_and_spd(self, model_10x10):
-        c = model_10x10.coupling
+        c = squared(model_10x10)
         off = np.abs(c - np.diag(np.diag(c))).max()
         assert off > 1e-4 * np.abs(np.diag(c)).max()
         assert np.linalg.eigvalsh(c).min() > 0
 
     def test_sqrt_squares_to_coupling(self, model_10x10):
-        c = model_10x10.coupling
-        root = model_10x10.coupling_sqrt
-        assert np.abs(root @ root - c).max() < 1e-10 * np.abs(c).max()
+        # C^(1/2) squares to (Re Z + R_d I)^-1 times the normalization scale
+        model = model_10x10
+        resist = model.impedance.real + model.r_dissipation * np.eye(model.size)
+        c = model.meta["normalization_scale_per_ohm"] * np.linalg.inv(resist)
+        root = model.coupling_sqrt
+        assert np.array_equal(root, root.T)
+        assert np.abs(squared(model) - c).max() < 1e-10 * np.abs(c).max()
 
     def test_full_impedance_variant(self, geom_4x4, r_iso_4x4):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GeometryOverlapWarning)
             model = coupling_model(geom_4x4, use_full_impedance=True, r_iso=r_iso_4x4)
-        c = model.coupling
-        root = model.coupling_sqrt
-        assert np.abs(root @ root - c).max() < 1e-10 * np.abs(c).max()
+        total = model.impedance + model.r_dissipation * np.eye(model.size)
+        c = model.meta["normalization_scale_per_ohm"] * np.linalg.inv(total)
+        assert np.abs(squared(model) - c).max() < 1e-10 * np.abs(c).max()
         coupled = effective_correlation(model, r_iso_4x4)
         assert coupled.eig.values[-1] >= 0
         assert coupled.trace() == pytest.approx(r_iso_4x4.trace(), rel=1e-10)
@@ -249,7 +257,6 @@ class TestEffectiveCorrelation:
         return CouplingModel(
             impedance=np.zeros((m, m), dtype=complex),
             r_dissipation=1.0,
-            coupling=np.eye(m),
             coupling_sqrt=np.eye(m),
         )
 
@@ -261,9 +268,8 @@ class TestEffectiveCorrelation:
     def test_identity_correlation_returns_coupling(self, model_4x4):
         eye = psd_clamp(np.eye(model_4x4.size))
         out = effective_correlation(model_4x4, eye)
-        assert np.abs(out.entries - model_4x4.coupling).max() < 1e-8 * np.abs(
-            model_4x4.coupling
-        ).max()
+        c = squared(model_4x4)
+        assert np.abs(out.entries - c).max() < 1e-8 * np.abs(c).max()
 
     def test_power_preserved_for_isotropic_channel(self, model_4x4, r_iso_4x4):
         out = effective_correlation(model_4x4, r_iso_4x4)

@@ -62,6 +62,11 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, estimators=("zf",))
 
+    def test_rejects_repeated_estimator(self, geom_4x4):
+        # a repeat would write its rows twice, and SweepResult.row finds one
+        with pytest.raises(ValueError, match="repeat"):
+            SweepConfig(geometry=geom_4x4, estimators=(est.LS, est.MMSE_ISO, est.LS))
+
     def test_rejects_unknown_scenario_string(self, geom_4x4):
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, scenario="urban")
@@ -85,6 +90,8 @@ class TestSweepConfigValidation:
             lambda g: SweepConfig(geometry=g, series_tol=math.nan),
             lambda g: SweepConfig(geometry=g, series_tol=0.0),
             lambda g: SweepConfig(geometry=g, series_tol=math.inf),
+            lambda g: SweepConfig(geometry=g, series_tol=1e-5),
+            lambda g: SweepConfig(geometry=g, series_tol=1e300),
         ],
     )
     def test_rejects_value_outside_domain(self, geom_4x4, build):
