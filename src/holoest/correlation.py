@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import special
 
 from .geometry import UpaGeometry, even_separation_matrix, separation_fill, unsigned_offsets
 from .linalg import CovarianceMatrix, psd_clamp
-from .special import DIPOLE_DIRECTIVITY, alpha_coefficient
+from .special import DIPOLE_DIRECTIVITY, alpha_coefficient, bessel_j0
 
 __all__ = [
     "SERIES_RADIUS",
@@ -153,8 +152,11 @@ def _iso_bessel(dy, dz, order: int) -> np.ndarray:
     nodes, weights = _leggauss(int(order))
     theta = _HALF_PI * nodes
     cos_theta = np.cos(theta)
-    # in place, to hold two (offsets x nodes) arrays at a time
-    integrand = special.j0(np.multiply.outer(2.0 * math.pi * dy, cos_theta))
+    # cos(theta) is symmetric in the nodes, so J0 is evaluated on the first
+    # half (and the middle node) and mirrored; then in place, to hold two
+    # (offsets x nodes) arrays at a time
+    half = bessel_j0(np.multiply.outer(2.0 * math.pi * dy, cos_theta[: (order + 1) // 2]))
+    integrand = np.concatenate((half, half[..., order // 2 - 1 :: -1]), axis=-1)
     integrand *= cos_theta**4
     phase = np.multiply.outer(2.0 * math.pi * dz, np.sin(theta))
     integrand *= np.cos(phase, out=phase)

@@ -61,36 +61,26 @@ def self_impedance(dipole_length, dipole_radius):
     _check_thin(dipole_length, dipole_radius)
     kl = _TWO_PI * dipole_length
     ka2l = _TWO_PI * 2.0 * dipole_radius**2 / dipole_length
+    ci_kl, ci_2kl, ci_ka2l = cos_integral(np.stack((kl, 2.0 * kl, ka2l)))
+    si_kl, si_2kl = sin_integral(np.stack((kl, 2.0 * kl)))
     resistance = (
         ETA0
         / (2.0 * math.pi)
         * (
             EULER_GAMMA
             + np.log(kl)
-            - cos_integral(kl)
-            + 0.5 * np.sin(kl) * (sin_integral(2.0 * kl) - 2.0 * sin_integral(kl))
-            + 0.5
-            * np.cos(kl)
-            * (
-                EULER_GAMMA
-                + np.log(kl / 2.0)
-                + cos_integral(2.0 * kl)
-                - 2.0 * cos_integral(kl)
-            )
+            - ci_kl
+            + 0.5 * np.sin(kl) * (si_2kl - 2.0 * si_kl)
+            + 0.5 * np.cos(kl) * (EULER_GAMMA + np.log(kl / 2.0) + ci_2kl - 2.0 * ci_kl)
         )
     )
     reactance = (
         ETA0
         / (4.0 * math.pi)
         * (
-            2.0 * sin_integral(kl)
-            + np.cos(kl) * (2.0 * sin_integral(kl) - sin_integral(2.0 * kl))
-            - np.sin(kl)
-            * (
-                2.0 * cos_integral(kl)
-                - cos_integral(2.0 * kl)
-                - cos_integral(ka2l)
-            )
+            2.0 * si_kl
+            + np.cos(kl) * (2.0 * si_kl - si_2kl)
+            - np.sin(kl) * (2.0 * ci_kl - ci_2kl - ci_ka2l)
         )
     )
     return resistance + 1j * reactance
@@ -100,17 +90,13 @@ def mutual_impedance_side_by_side(d, length: float = 0.5):
     """Mutual impedance of parallel dipoles at the same height, spacing d."""
     if np.any(d <= 0):
         raise ValueError("side-by-side spacing must be positive")
-    u0 = _TWO_PI * d
     diag = np.hypot(d, length)
-    u1 = _TWO_PI * (diag + length)
-    u2 = _TWO_PI * (diag - length)
+    u = _TWO_PI * np.stack((d, diag + length, diag - length))
+    ci0, ci1, ci2 = cos_integral(u)
+    si0, si1, si2 = sin_integral(u)
     scale = ETA0 / (4.0 * math.pi)
-    resistance = scale * (
-        2.0 * cos_integral(u0) - cos_integral(u1) - cos_integral(u2)
-    )
-    reactance = -scale * (
-        2.0 * sin_integral(u0) - sin_integral(u1) - sin_integral(u2)
-    )
+    resistance = scale * (2.0 * ci0 - ci1 - ci2)
+    reactance = -scale * (2.0 * si0 - si1 - si2)
     return resistance + 1j * reactance
 
 
@@ -124,26 +110,19 @@ def mutual_impedance_echelon(d, h, length: float = 0.5):
     r0 = np.hypot(d, h)
     rm = np.hypot(d, h - length)
     rp = np.hypot(d, h + length)
-    w1 = k * (r0 + h)
-    w1p = k * (r0 - h)
-    w2 = k * (rm + (h - length))
-    w2p = k * (rm - (h - length))
-    w3 = k * (rp + (h + length))
-    w3p = k * (rp - (h + length))
-    ci = cos_integral
-    si = sin_integral
+    w = k * np.stack(
+        (r0 + h, r0 - h, rm + (h - length), rm - (h - length), rp + (h + length), rp - (h + length))
+    )
+    ci1, ci1p, ci2, ci2p, ci3, ci3p = cos_integral(w)
+    si1, si1p, si2, si2p, si3, si3p = sin_integral(w)
     scale = ETA0 / (8.0 * math.pi)
     cos_b, sin_b = np.cos(beta), np.sin(beta)
     resistance = -scale * cos_b * (
-        -2.0 * ci(w1) - 2.0 * ci(w1p) + ci(w2) + ci(w2p) + ci(w3) + ci(w3p)
-    ) + scale * sin_b * (
-        2.0 * si(w1) - 2.0 * si(w1p) - si(w2) + si(w2p) - si(w3) + si(w3p)
-    )
+        -2.0 * ci1 - 2.0 * ci1p + ci2 + ci2p + ci3 + ci3p
+    ) + scale * sin_b * (2.0 * si1 - 2.0 * si1p - si2 + si2p - si3 + si3p)
     reactance = -scale * cos_b * (
-        2.0 * si(w1) + 2.0 * si(w1p) - si(w2) - si(w2p) - si(w3) - si(w3p)
-    ) + scale * sin_b * (
-        2.0 * ci(w1) - 2.0 * ci(w1p) - ci(w2) + ci(w2p) - ci(w3) + ci(w3p)
-    )
+        2.0 * si1 + 2.0 * si1p - si2 - si2p - si3 - si3p
+    ) + scale * sin_b * (2.0 * ci1 - 2.0 * ci1p - ci2 + ci2p - ci3 + ci3p)
     return resistance + 1j * reactance
 
 
@@ -163,20 +142,18 @@ def mutual_impedance_collinear(h, length: float = 0.5, radius: float = 1.0 / 500
     h = h[~overlap]
     k = _TWO_PI
     beta = k * h
-    v0 = 2.0 * k * h
-    vm = 2.0 * k * (h - length)
-    vp = 2.0 * k * (h + length)
+    v = 2.0 * k * np.stack((h, h - length, h + length))
+    ci0, cim, cip = cos_integral(v)
+    si0, sim, sip = sin_integral(v)
     log_term = np.log((h * h - length * length) / (h * h))
-    ci = cos_integral
-    si = sin_integral
     scale = ETA0 / (8.0 * math.pi)
     cos_b, sin_b = np.cos(beta), np.sin(beta)
     resistance = -scale * cos_b * (
-        -2.0 * ci(v0) + ci(vm) + ci(vp) - log_term
-    ) + scale * sin_b * (2.0 * si(v0) - si(vm) - si(vp))
+        -2.0 * ci0 + cim + cip - log_term
+    ) + scale * sin_b * (2.0 * si0 - sim - sip)
     reactance = -scale * cos_b * (
-        2.0 * si(v0) - si(vm) - si(vp)
-    ) + scale * sin_b * (2.0 * ci(v0) - ci(vm) - ci(vp) - log_term)
+        2.0 * si0 - sim - sip
+    ) + scale * sin_b * (2.0 * ci0 - cim - cip - log_term)
     z[~overlap] = resistance + 1j * reactance
     return z[()]
 

@@ -8,6 +8,7 @@ from a grid of values at signed offsets, or by ``even_separation_matrix``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,19 @@ class UpaGeometry:
                 raise ValueError(f"{name} must be positive and finite")
         if self.dipole_radius >= self.dipole_length / 10.0:
             raise ValueError("thin-dipole regime requires radius < length/10")
+        if self.m_y > 1 and self.d_y < 2.0 * self.dipole_radius:
+            raise ValueError(
+                f"geometry.d_y = {self.d_y!r} is below the wire diameter "
+                f"2 * geometry.dipole_radius = {2.0 * self.dipole_radius!r}: "
+                "neighbouring wires would intersect"
+            )
+        # the self impedance takes Ci at this argument, as coupling computes it
+        ka2l = 2.0 * math.pi * 2.0 * self.dipole_radius**2 / self.dipole_length
+        if ka2l < sys.float_info.min:
+            raise ValueError(
+                f"geometry.dipole_radius = {self.dipole_radius!r} is too small: "
+                f"4 pi dipole_radius^2 / dipole_length = {ka2l!r} is not a normal double"
+            )
 
     @property
     def size(self) -> int:

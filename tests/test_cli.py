@@ -439,15 +439,55 @@ class TestSweepCommand:
         assert f"({float(d_y)}, 0.0)" in lines[0]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("geometry.d_y", "1e-300"),
+            ("geometry.d_y", "1e-10"),
+            ("geometry.dipole_radius", "1e-300"),
+        ],
+    )
+    def test_degenerate_wire_geometry_exits_1(self, tmp_path, capsys, key, value):
+        # d_y below the wire diameter makes neighbouring wires intersect, and a
+        # radius whose 4 pi a^2 / L is not a normal double gives Ci a zero or
+        # subnormal argument; each is a configuration error naming its key
+        path = tmp_path / "wire.cfg"
+        path.write_text(f"geometry.m_y = 2\n{key} = {value}\nsweep.mc_trials = 0\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+        assert not out_dir.exists()
+
     def test_analytic_sweep_never_loads_the_quadrature_oracle(self, tmp_path):
-        # scipy.integrate costs ~0.3 s to import; only quadrature_entry needs it
-        path = tmp_path / "analytic.cfg"
-        path.write_text(SMALL.replace("mc_trials = 1000", "mc_trials = 0"), encoding="utf-8")
-        argv = ["--config", str(path), "--quiet", "sweep", "--out", str(tmp_path / "out")]
+        # importing the scipy.special package costs ~0.3 s, about half the
+        # start-up of a short run; only the quadrature oracle, sqrtm under
+        # use_full_impedance and the gesvd retry of thin_svd load scipy, so
+        # neither the import nor analytic sweeps nor subspace may
+        analytic = SMALL.replace("mc_trials = 1000", "mc_trials = 0")
+        configs = {
+            "isotropic": analytic,
+            "cluster": analytic + "scenario.kind = cluster\nscenario.seed = 1\n",
+        }
+        runs = []
+        for name, text in configs.items():
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text, encoding="utf-8")
+            sweep = ["sweep", "--out", str(tmp_path / name)]
+            runs += [(f"{name} sweep", ["--config", str(path), "--quiet", *sweep])]
+            runs += [(f"{name} subspace", ["--config", str(path), "--quiet", "subspace"])]
         script = (
             "import sys\n"
+            "def report(label, code):\n"
+            "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    print('loaded:', label, code, loaded)\n"
+            "import holoest\n"
+            "report('import', 0)\n"
             "from holoest.cli import main\n"
-            f"print(main({argv!r}), 'scipy.integrate' in sys.modules)\n"
+            f"for label, argv in {runs!r}:\n"
+            "    report(label, main(argv))\n"
         )
         src = str(Path(holoest.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -458,7 +498,11 @@ class TestSweepCommand:
             env={**os.environ, "PYTHONPATH": pythonpath},
             check=True,
         )
-        assert done.stdout.split() == ["0", "False"]
+        reports = [line for line in done.stdout.splitlines() if line.startswith("loaded:")]
+        assert reports == [
+            f"loaded: {label} 0 []"
+            for label in ("import", *(label for label, _ in runs))
+        ]
 
 
 class TestValidateCommand:

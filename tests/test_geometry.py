@@ -49,6 +49,13 @@ def test_geometry_validation():
         UpaGeometry(m_y=2, m_z=2, d_y=-0.5, d_z=0.5)
     with pytest.raises(ValueError):
         UpaGeometry(m_y=2, m_z=2, d_y=0.5, d_z=0.5, dipole_radius=0.1)
+    # wires closer than their diameter intersect; one column has no neighbours
+    with pytest.raises(ValueError, match="geometry.d_y"):
+        UpaGeometry(m_y=2, m_z=2, d_y=0.0039, d_z=0.5, dipole_radius=0.002)
+    UpaGeometry(m_y=2, m_z=2, d_y=0.004, d_z=0.5, dipole_radius=0.002)
+    UpaGeometry(m_y=1, m_z=2, d_y=1e-300, d_z=0.5)
+    with pytest.raises(ValueError, match="geometry.dipole_radius"):
+        UpaGeometry(m_y=2, m_z=2, d_y=0.5, d_z=0.5, dipole_radius=1e-160)
 
 
 def test_direction_validation():

@@ -1,4 +1,4 @@
-"""Sine/cosine integrals and the series coefficients against independent oracles."""
+"""Sine/cosine integrals, J0 and the series coefficients against independent oracles."""
 
 import math
 from fractions import Fraction
@@ -7,15 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import j0, sici
 
 from holoest.special import (
     DIPOLE_DIRECTIVITY,
     EULER_GAMMA,
     alpha_coefficient,
+    bessel_j0,
     cos_integral,
     log_alpha_magnitude,
     sin_integral,
 )
+
+# Largest Si/Ci argument of the impedance closed forms inside the 100-wavelength
+# separation gate: the collinear 2k(h + L) with h = 100 and L = 0.5.
+_CLOSED_FORM_MAX = 4.0 * math.pi * 100.5
+# Largest J0 argument of the isotropic Bessel rule, 2 pi dy cos(theta), there.
+_BESSEL_RULE_MAX = 2.0 * math.pi * 100.0
 
 
 def si_series_oracle(x: float, terms: int = 50) -> float:
@@ -62,7 +70,7 @@ def test_ci_large_argument_decays():
 
 
 def test_ci_domain_errors():
-    # scipy's sici returns 0.0 at +inf, so the wrapper must reject it itself
+    # Ci(+inf) = 0 only as a limit, and Ci is complex for x < 0; all are rejected
     for x in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             cos_integral(x)
@@ -119,9 +127,59 @@ def ci_quadrature_oracle(x: float) -> float:
 
 @pytest.mark.parametrize("x", np.geomspace(0.01, 1000.0, 40).tolist())
 def test_against_scipy(x):
-    """The sici wrappers against scipy.integrate.quad of the defining integrals."""
+    """Si and Ci against scipy.integrate.quad of the defining integrals."""
     assert sin_integral(x) == pytest.approx(si_quadrature_oracle(x), abs=1e-12)
     assert cos_integral(x) == pytest.approx(ci_quadrature_oracle(x), abs=1e-12)
+
+
+def test_sici_matches_scipy_on_a_dense_grid():
+    # from the smallest argument the closed forms take (~1.4e-5) to the largest
+    x = np.concatenate(
+        (np.geomspace(1e-5, 4.0, 100_001), np.linspace(4.0, _CLOSED_FORM_MAX, 400_001))
+    )
+    si, ci = sici(x)
+    assert np.abs(sin_integral(x) - si).max() <= 2e-15
+    assert np.abs(sin_integral(-x) + si).max() <= 2e-15
+    assert np.abs(cos_integral(x) - ci).max() <= 2e-15
+
+
+def test_j0_matches_scipy_on_a_dense_grid():
+    # scipy reduces the Hankel phase as x - pi/4, which rounds by up to half an
+    # ulp of x: ~1.8e-15 in J0 near 2 pi 100, so most of this bound is scipy's
+    x = np.linspace(0.0, _BESSEL_RULE_MAX, 600_001)
+    assert np.abs(bessel_j0(x) - j0(x)).max() <= 2e-15
+    assert np.array_equal(bessel_j0(-x), bessel_j0(x))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.0, 1e-3, 1.0, 2.0, 2.5, 7.0, 19.9, 20.1, 33.3]
+    + np.linspace(40.0, _BESSEL_RULE_MAX, 12).tolist(),
+)
+def test_j0_against_quadrature(x):
+    """J0(x) = (1/pi) int_0^pi cos(x sin t) dt (DLMF 10.9.1) by scipy.integrate.quad."""
+    want = _integral(lambda t: math.cos(x * math.sin(t)), 0.0, math.pi) / math.pi
+    assert bessel_j0(x) == pytest.approx(want, abs=1e-13)
+
+
+def test_j0_domain_errors():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bessel_j0(x)
+        with pytest.raises(ValueError):
+            bessel_j0(np.array([1.0, x, 2.0]))
+
+
+@pytest.mark.parametrize("f", [sin_integral, cos_integral, bessel_j0])
+def test_value_does_not_depend_on_the_rest_of_the_call(f):
+    # term counts are fixed per method and continued-fraction depths per
+    # argument, so a grid evaluation reproduces the scalar calls exactly
+    x = np.geomspace(1e-4, 1e4, 97)
+    values = f(x)
+    assert np.array_equal(values, [f(v) for v in x])
+    assert np.array_equal(values[40:60], f(x[40:60]))
+    assert f(x.reshape(1, 97, 1)).shape == (1, 97, 1)
+    assert np.ndim(f(x[0])) == 0
 
 
 def alpha_exact_oracle(k: int, l: int) -> float:
