@@ -391,16 +391,13 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning  # one line each, like the errors below
             return args.func(args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 4
     except (QuadratureError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,11 +1,11 @@
 """Line-oriented configuration files: ``section.key = value``.
 
-Plain text with ``#`` comments; unknown sections or keys, numbers that are
-not finite, SNR points whose pilot SNR is not a finite positive double,
-start:step:stop grids of more than 10000 points, repeated estimators and a
-series tolerance outside (0, 1e-6] are rejected with the offending line
-number so scenario files stay diffable and typo-proof.  All physical
-quantities carry their units in REFERENCE_CONFIG.
+Plain text with ``#`` comments.  REFERENCE_CONFIG, with every physical
+quantity's unit, is the one list of defaults: a key a file leaves out or sets
+blank takes its value there.  Each key's parser applies the rule of the type
+that owns the value, so an unknown key or a value outside its rule is rejected
+with its line number and ``section.key``, and scenario files stay diffable and
+typo-proof.  Rules relating two keys stay with their owners and name both.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
-from . import estimation as est
 from .correlation import ClusterScenario, check_series_tol
-from .experiments import CouplingConfig, SweepConfig, pilot_snr
-from .geometry import UpaGeometry
+from .experiments import CouplingConfig, SweepConfig, default_cluster_scenario, pilot_snr
+from .experiments import check_estimators, check_mc_trials, check_snr_grid
+from .geometry import UpaGeometry, check_positive_finite
 
 __all__ = ["ConfigError", "CliConfig", "REFERENCE_CONFIG", "parse_config", "load_config"]
 
@@ -69,89 +70,79 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+def _parse_seed(raw: str) -> int | None:
+    """An integer >= 0; blank, as REFERENCE_CONFIG leaves scenario.seed, is no seed."""
+    if not raw:
+        return None
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
     return value
 
 
-def _int_at_least(low: int):
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise ValueError(f"expected an integer >= {low}, got {value}")
-        return value
+def _parse_kind(raw: str) -> str:
+    if raw not in ("isotropic", "cluster"):
+        raise ValueError(f"expected isotropic or cluster, got {raw!r}")
+    return raw
 
-    return parse
+
+def _split(raw: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+def _checked(parse, rule):
+    """Parser that reads a raw value with ``parse`` and applies its owner's ``rule``."""
+    return lambda raw: rule(parse(raw))
 
 
 def _parse_snr_grid(raw: str) -> tuple[float, ...]:
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid must be start:step:stop")
-        start, step, stop = (_parse_float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        pilot_snr(start)
-        pilot_snr(stop)  # before the points between them are generated
-        span = (stop - start) / step + 1e-9  # counted before any point is built
-        if not span < _MAX_GRID_POINTS:
-            raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
-        count = int(math.floor(span)) + 1
-        if count < 1:
-            raise ValueError("empty SNR grid")
-        grid = tuple(start + i * step for i in range(count))
-    else:
-        grid = tuple(_parse_float(p) for p in raw.split(",") if p.strip())
-    for snr_db in grid:
-        pilot_snr(snr_db)
-    return grid
+    if ":" not in raw:
+        return check_snr_grid(tuple(float(p) for p in _split(raw)))
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ValueError("grid must be start:step:stop")
+    start, step, stop = (float(p) for p in parts)
+    check_positive_finite(step, "grid step")
+    if stop < start:
+        raise ValueError(f"grid stop {stop!r} is below its start {start!r}")
+    pilot_snr(start)
+    pilot_snr(stop)  # before the points between them are generated
+    span = (stop - start) / step + 1e-9  # counted before any point is built
+    if not span < _MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
+    return check_snr_grid(tuple(start + i * step for i in range(math.floor(span) + 1)))
 
 
-def _parse_estimators(raw: str) -> tuple[str, ...]:
-    kinds = tuple(p.strip() for p in raw.split(",") if p.strip())
-    for kind in kinds:
-        if kind not in est.ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator {kind!r}")
-    if not kinds:
-        raise ValueError("estimator list is empty")
-    if len(set(kinds)) != len(kinds):
-        raise ValueError(f"estimator list repeats a kind: {raw.strip()!r}")
-    return kinds
-
-
-# section -> key -> (parser, default)
-_SCHEMA: dict[str, dict[str, tuple]] = {
+# section -> key -> parser; the defaults are REFERENCE_CONFIG's values
+_SCHEMA: dict[str, dict[str, object]] = {
     "geometry": {
-        "m_y": (int, 10),
-        "m_z": (int, 10),
-        "d_y": (_parse_float, 0.2),
-        "d_z": (_parse_float, 0.2),
-        "dipole_length": (_parse_float, 0.5),
-        "dipole_radius": (_parse_float, 0.002),
+        "m_y": _checked(int, check_positive_finite),
+        "m_z": _checked(int, check_positive_finite),
+        "d_y": _checked(float, check_positive_finite),
+        "d_z": _checked(float, check_positive_finite),
+        "dipole_length": _checked(float, check_positive_finite),
+        "dipole_radius": _checked(float, check_positive_finite),
     },
     "coupling": {
-        "frequency": (_parse_float, 3.0e9),
-        "conductivity": (_parse_float, 5.8e7),
-        "use_full_impedance": (_parse_bool, False),
+        "frequency": _checked(float, check_positive_finite),
+        "conductivity": _checked(float, check_positive_finite),
+        "use_full_impedance": _parse_bool,
     },
     "scenario": {
-        "kind": (str, "isotropic"),
-        "file": (str, ""),
-        "seed": (_int_at_least(0), None),
-        "series_tol": (lambda raw: check_series_tol(_parse_float(raw)), 1e-12),
+        "kind": _parse_kind,
+        "file": str,
+        "seed": _parse_seed,
+        "series_tol": _checked(float, check_series_tol),
     },
     "sweep": {
-        "snr_db": (_parse_snr_grid, tuple(range(-10, 25, 2))),
-        "mc_trials": (int, 10_000),
-        "estimators": (_parse_estimators, est.ESTIMATOR_KINDS),
-        "base_seed": (_int_at_least(0), 20240605),
-        "validation_mode": (_parse_bool, False),
+        "snr_db": _parse_snr_grid,
+        "mc_trials": _checked(int, check_mc_trials),
+        "estimators": _checked(_split, check_estimators),
+        "base_seed": _parse_seed,
+        "validation_mode": _parse_bool,
     },
     "output": {
-        "precision": (_int_at_least(1), 17),
+        "precision": _checked(int, check_positive_finite),
     },
 }
 
@@ -164,37 +155,23 @@ class CliConfig:
     source: str = "<defaults>"
 
     def get(self, section: str, key: str):
-        if key in self.values.get(section, {}):
-            return self.values[section][key]
-        return _SCHEMA[section][key][1]
+        for values in (self.values, _reference().values):
+            if key in values.get(section, {}):
+                return values[section][key]
+        return _SCHEMA[section][key]("")  # left blank in REFERENCE_CONFIG
+
+    def section(self, name: str) -> dict[str, object]:
+        """Every key of a section; the keys are the owning type's field names."""
+        return {key: self.get(name, key) for key in _SCHEMA[name]}
 
     def geometry(self) -> UpaGeometry:
-        return UpaGeometry(
-            m_y=self.get("geometry", "m_y"),
-            m_z=self.get("geometry", "m_z"),
-            d_y=self.get("geometry", "d_y"),
-            d_z=self.get("geometry", "d_z"),
-            dipole_length=self.get("geometry", "dipole_length"),
-            dipole_radius=self.get("geometry", "dipole_radius"),
-        )
+        return UpaGeometry(**self.section("geometry"))
 
     def coupling(self) -> CouplingConfig:
-        return CouplingConfig(
-            frequency=self.get("coupling", "frequency"),
-            conductivity=self.get("coupling", "conductivity"),
-            use_full_impedance=self.get("coupling", "use_full_impedance"),
-        )
-
-    def scenario_kind(self) -> str:
-        kind = self.get("scenario", "kind")
-        if kind not in ("isotropic", "cluster"):
-            raise ConfigError(f"scenario.kind must be isotropic or cluster, got {kind!r}")
-        return kind
+        return CouplingConfig(**self.section("coupling"))
 
     def cluster_scenario(self, seed_override: int | None = None) -> ClusterScenario:
         """Load or generate the cluster scenario; raises when neither is possible."""
-        from .experiments import default_cluster_scenario
-
         path = self.get("scenario", "file")
         if path:
             with open(path, "r", encoding="utf-8") as handle:
@@ -209,10 +186,10 @@ class CliConfig:
             raise ConfigError(
                 "cluster scenario requires scenario.file or scenario.seed (or --seed)"
             )
-        return default_cluster_scenario(int(seed))
+        return default_cluster_scenario(seed)
 
     def sweep_config(self, seed_override: int | None = None) -> SweepConfig:
-        kind = self.scenario_kind()
+        kind = self.get("scenario", "kind")
         scenario = (
             "isotropic" if kind == "isotropic" else self.cluster_scenario(seed_override)
         )
@@ -222,10 +199,10 @@ class CliConfig:
         return SweepConfig(
             geometry=self.geometry(),
             scenario=scenario,
-            snr_grid_db=tuple(self.get("sweep", "snr_db")),
-            estimators=tuple(self.get("sweep", "estimators")),
+            snr_grid_db=self.get("sweep", "snr_db"),
+            estimators=self.get("sweep", "estimators"),
             mc_trials=self.get("sweep", "mc_trials"),
-            base_seed=int(base_seed),
+            base_seed=base_seed,
             coupling=self.coupling(),
             series_tol=self.get("scenario", "series_tol"),
             validation_mode=self.get("sweep", "validation_mode"),
@@ -233,6 +210,12 @@ class CliConfig:
 
     def float_format(self) -> str:
         return f"%.{self.get('output', 'precision')}g"
+
+
+@cache
+def _reference() -> CliConfig:
+    """REFERENCE_CONFIG, parsed on first use."""
+    return parse_config(REFERENCE_CONFIG, "REFERENCE_CONFIG")
 
 
 def parse_config(text: str, source: str = "<string>") -> CliConfig:
@@ -255,9 +238,8 @@ def parse_config(text: str, source: str = "<string>") -> CliConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {name!r}")
         if raw_value == "":
             continue  # explicit blank keeps the default
-        parser = _SCHEMA[section][key][0]
         try:
-            value = parser(raw_value)
+            value = _SCHEMA[section][key](raw_value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {name}: {exc}") from exc
         values.setdefault(section, {})[key] = value

@@ -37,6 +37,7 @@ __all__ = [
     "AngularCluster",
     "ClusterScenario",
     "isotropic_scattering",
+    "DEFAULT_SERIES_TOL",
     "MAX_SERIES_TOL",
     "check_series_tol",
     "iso_entry",
@@ -58,6 +59,7 @@ _SERIES_MAX_K = 60
 # error is 7e-8 at 1e-6 and 7.4e-7 at 1e-5; from 1 on the series stops after
 # its first layer and is off by 1.33.
 MAX_SERIES_TOL = 1e-6
+DEFAULT_SERIES_TOL = 1e-12
 
 _HALF_PI = math.pi / 2.0
 
@@ -79,11 +81,6 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-@lru_cache(maxsize=64)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 # ---------------------------------------------------------------------------
 # Isotropic half-space with dipole directivity
 # ---------------------------------------------------------------------------
@@ -97,6 +94,21 @@ def isotropic_scattering(azimuth, elevation):
 # Separation (wavelengths) up to which _bessel_order and the oracle's default
 # budget are checked; both raise beyond it rather than run unchecked for minutes.
 _MAX_SEPARATION = 100.0
+
+
+def _bessel_order(separation):
+    # The Bessel-rule integrand has angular bandwidth 2 pi r at separation r;
+    # this floor and slack keep the doubled-order difference at roundoff
+    # (under 4e-15) for r from SERIES_RADIUS to _MAX_SEPARATION.
+    return np.maximum(96, np.ceil(2.0 * math.pi * separation).astype(int) + 64)
+
+
+# Rules are of cluster orders 16 and 32 or of Bessel orders inside the gate and
+# their doubles, so no order passes 2 * 693 = 1386 (one 48x48 iso_entry asks
+# for 106).  The 947 orders that can occur hold about 9.5 MB at worst.
+@lru_cache(maxsize=2 * int(_bessel_order(_MAX_SEPARATION)))
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _check_separation(label: str, offsets: np.ndarray) -> None:
@@ -135,13 +147,6 @@ def _iso_series(dy: np.ndarray, dz: np.ndarray, tol: float) -> np.ndarray:
     return total
 
 
-def _bessel_order(separation):
-    # The Bessel-rule integrand has angular bandwidth 2 pi r at separation r;
-    # this floor and slack keep the doubled-order difference at roundoff
-    # (under 4e-15) for r from SERIES_RADIUS to _MAX_SEPARATION.
-    return np.maximum(96, np.ceil(2.0 * math.pi * separation).astype(int) + 64)
-
-
 def _iso_bessel(dy, dz, order: int) -> np.ndarray:
     """Isotropic entries by Gauss-Legendre in elevation after the azimuth step.
 
@@ -175,7 +180,7 @@ def check_series_tol(tol: float) -> float:
     return tol
 
 
-def iso_entry(dy_norm, dz_norm, tol: float = 1e-12):
+def iso_entry(dy_norm, dz_norm, tol: float = DEFAULT_SERIES_TOL):
     """Isotropic correlation for (dy, dz) element offsets in wavelengths.
 
     Scalars give a float, arrays an array.  Within SERIES_RADIUS this is the
@@ -212,7 +217,7 @@ def iso_entry(dy_norm, dz_norm, tol: float = 1e-12):
     return values if values.ndim else float(values)
 
 
-def iso_matrix(geometry: UpaGeometry, tol: float = 1e-12) -> CovarianceMatrix:
+def iso_matrix(geometry: UpaGeometry, tol: float = DEFAULT_SERIES_TOL) -> CovarianceMatrix:
     """Isotropic spatial correlation matrix: ``iso_entry`` on the offset grid."""
     entries = even_separation_matrix(geometry, partial(iso_entry, tol=tol))
     fallbacks = np.count_nonzero(np.hypot(*unsigned_offsets(geometry)) > SERIES_RADIUS)

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import UpaGeometry, even_separation_matrix
+from .geometry import UpaGeometry, check_positive_finite, even_separation_matrix
 from .linalg import CovarianceMatrix, hermitian_eig, psd_sqrt, thin_svd
 from .special import EULER_GAMMA, cos_integral, sin_integral
 
 __all__ = [
     "ETA0",
     "MU0",
+    "DEFAULT_FREQUENCY",
     "DEFAULT_CONDUCTIVITY",
     "GeometryOverlapWarning",
     "CouplingModel",
@@ -40,6 +41,7 @@ __all__ = [
 
 ETA0 = 376.730313668  # free-space wave impedance, ohms
 MU0 = 4.0e-7 * math.pi
+DEFAULT_FREQUENCY = 3.0e9  # Hz
 DEFAULT_CONDUCTIVITY = 5.8e7  # copper, S/m
 
 _TWO_PI = 2.0 * math.pi
@@ -195,8 +197,8 @@ def dissipation_resistance(
     sinusoidal current profile.  Only the length/radius ratio enters, so the
     value scales with sqrt(frequency) at fixed electrical dimensions.
     """
-    if frequency <= 0 or conductivity <= 0:
-        raise ValueError("frequency and conductivity must be positive")
+    check_positive_finite(frequency, "frequency")
+    check_positive_finite(conductivity, "conductivity")
     surface_resistance = math.sqrt(math.pi * frequency * MU0 / conductivity)
     return (
         geometry.dipole_length
@@ -231,7 +233,7 @@ class CouplingModel:
 def coupling_model(
     geometry: UpaGeometry,
     r_iso: CovarianceMatrix,
-    frequency: float = 3.0e9,
+    frequency: float = DEFAULT_FREQUENCY,
     conductivity: float = DEFAULT_CONDUCTIVITY,
     use_full_impedance: bool = False,
 ) -> CouplingModel:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_positive_finite
 from .linalg import (
     DEFAULT_RANK_TOL,
     CovarianceMatrix,
@@ -63,8 +64,7 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.rho <= 0:
-            raise ValueError("pilot SNR must be positive")
+        check_positive_finite(self.rho, "pilot SNR")
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Square eigenbasis and per-mode gains of W.
@@ -89,8 +89,7 @@ def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> E
     Computed spectrally in Rhat's eigenbasis, which keeps rank-deficient
     priors exact: zero modes map to zero filter gain.
     """
-    if rho <= 0:
-        raise ValueError("pilot SNR must be positive")
+    check_positive_finite(rho, "pilot SNR")
     if kind == LS:
         raise ValueError("use ls_filter for the least-squares estimator")
     eig = r_hat.eig
@@ -101,8 +100,7 @@ def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> E
 
 def ls_filter(rho: float, m: int) -> EstimatorSpec:
     """Least-squares filter W = I / sqrt(rho)."""
-    if rho <= 0:
-        raise ValueError("pilot SNR must be positive")
+    check_positive_finite(rho, "pilot SNR")
     return EstimatorSpec(kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho)
 
 

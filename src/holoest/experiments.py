@@ -19,14 +19,16 @@ import numpy as np
 
 from . import estimation as est
 from .correlation import (
+    DEFAULT_SERIES_TOL,
     AngularCluster,
     ClusterScenario,
     check_series_tol,
     cluster_matrix,
     iso_matrix,
 )
+from .coupling import DEFAULT_CONDUCTIVITY, DEFAULT_FREQUENCY
 from .coupling import CouplingModel, coupling_model, effective_correlation
-from .geometry import UpaGeometry
+from .geometry import UpaGeometry, check_positive_finite
 from .linalg import CovarianceMatrix, psd_sqrt
 
 __all__ = [
@@ -37,6 +39,9 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "pilot_snr",
+    "check_snr_grid",
+    "check_mc_trials",
+    "check_estimators",
     "Channel",
     "ValidationFailure",
     "default_cluster_scenario",
@@ -71,15 +76,13 @@ _MASK128 = (1 << 128) - 1
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    frequency: float = 3.0e9
-    conductivity: float = 5.8e7
+    frequency: float = DEFAULT_FREQUENCY
+    conductivity: float = DEFAULT_CONDUCTIVITY
     use_full_impedance: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("frequency", "conductivity"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+        check_positive_finite(self.frequency, "frequency")
+        check_positive_finite(self.conductivity, "conductivity")
 
 
 @dataclass(frozen=True)
@@ -93,25 +96,15 @@ class SweepConfig:
     mc_trials: int = 10_000
     base_seed: int = DEFAULT_BASE_SEED
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
-    series_tol: float = 1e-12
+    series_tol: float = DEFAULT_SERIES_TOL
     validation_mode: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.scenario, str) and self.scenario != "isotropic":
             raise ValueError("scenario must be 'isotropic' or a ClusterScenario")
-        if len(self.snr_grid_db) == 0:
-            raise ValueError("SNR grid must be nonempty")
-        for snr_db in self.snr_grid_db:
-            pilot_snr(snr_db)
-        if list(self.snr_grid_db) != sorted(self.snr_grid_db):
-            raise ValueError("SNR grid must be sorted ascending")
-        if self.mc_trials != 0 and self.mc_trials < 100:
-            raise ValueError("Monte Carlo needs at least 100 trials (or 0 to skip)")
-        for kind in self.estimators:
-            if kind not in est.ESTIMATOR_KINDS:
-                raise ValueError(f"unknown estimator kind {kind!r}")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError(f"estimators repeat a kind: {', '.join(self.estimators)}")
+        check_snr_grid(self.snr_grid_db)
+        check_mc_trials(self.mc_trials)
+        check_estimators(self.estimators)
         check_series_tol(self.series_tol)
 
 
@@ -125,12 +118,39 @@ def pilot_snr(snr_db: float) -> float:
         rho = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         rho = math.inf
-    if not 0.0 < rho < math.inf:
-        raise ValueError(
-            f"SNR point {snr_db!r} dB gives pilot SNR {rho!r}, "
-            "not a finite positive number"
-        )
-    return rho
+    return check_positive_finite(rho, f"pilot SNR at {snr_db!r} dB")
+
+
+def check_snr_grid(grid_db: tuple[float, ...]) -> tuple[float, ...]:
+    """Return ``grid_db``; raises ValueError unless it is nonempty, in ``pilot_snr``'s
+    domain and strictly ascending (a repeat wrote its rows twice, from two streams)."""
+    if len(grid_db) == 0:
+        raise ValueError("SNR grid is empty")
+    for snr_db in grid_db:
+        pilot_snr(snr_db)
+    for low, high in zip(grid_db, grid_db[1:]):
+        if not low < high:
+            raise ValueError(f"SNR grid must strictly ascend: {high!r} dB after {low!r} dB")
+    return grid_db
+
+
+def check_mc_trials(trials: int) -> int:
+    """Return ``trials``; raises ValueError unless it is 0 (no Monte Carlo) or >= 100."""
+    if not (trials == 0 or trials >= 100):
+        raise ValueError(f"expected 0 (no Monte Carlo) or >= 100 trials, got {trials!r}")
+    return trials
+
+
+def check_estimators(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    """Return ``kinds``; raises ValueError unless it lists known kinds, each once."""
+    for kind in kinds:
+        if kind not in est.ESTIMATOR_KINDS:
+            raise ValueError(f"unknown estimator {kind!r}")
+    if not kinds:
+        raise ValueError("estimator list is empty")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"estimator list repeats a kind: {', '.join(kinds)}")
+    return kinds
 
 
 class ValidationFailure(RuntimeError):
@@ -184,13 +204,8 @@ def build_channel(config: SweepConfig) -> Channel:
     else:
         r_base = r_iso
         scenario_name = "isotropic"
-    model = coupling_model(
-        geometry,
-        frequency=config.coupling.frequency,
-        conductivity=config.coupling.conductivity,
-        use_full_impedance=config.coupling.use_full_impedance,
-        r_iso=r_iso,
-    )
+    # CouplingConfig's fields are coupling_model's keyword arguments
+    model = coupling_model(geometry, r_iso, **asdict(config.coupling))
     r_mc = effective_correlation(model, r_base)
     r_hat_aware = (
         r_mc if scenario_name == "isotropic" else effective_correlation(model, r_iso)
@@ -228,18 +243,10 @@ class SweepResult:
         raise KeyError(f"no row for ({estimator}, {snr_db} dB)")
 
     def estimators(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.estimator not in seen:
-                seen.append(r.estimator)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r.estimator for r in self.rows))
 
     def snr_grid_db(self) -> tuple[float, ...]:
-        seen: list[float] = []
-        for r in self.rows:
-            if r.snr_db not in seen:
-                seen.append(r.snr_db)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r.snr_db for r in self.rows))
 
 
 def default_cluster_scenario(seed: int) -> ClusterScenario:
@@ -446,11 +453,9 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
             by_prior[id(prior)] = est.mse_eigen_expansion(prior, r_mc, rhos).tolist()
         mses = by_prior[id(prior)]
         for snr_db, mse in zip(config.snr_grid_db, mses):
-            if not 0.0 < mse / trace_mc < math.inf:
-                raise ValueError(
-                    f"sweep.snr_db point {snr_db!r} dB: analytic MSE of {kind} is "
-                    f"{mse!r}, which has no finite NMSE in dB"
-                )
+            check_positive_finite(
+                mse / trace_mc, f"MSE / tr(R_mc) of {kind} at sweep.snr_db = {snr_db!r} dB"
+            )
         analytic[kind] = mses
 
     mc: dict[tuple[str, float], tuple[float, float]] = {}

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
+    "check_positive_finite",
     "UpaGeometry",
     "Direction",
     "element_positions",
@@ -22,6 +23,14 @@ __all__ = [
     "even_separation_matrix",
     "array_response",
 ]
+
+
+def check_positive_finite(value, name: str = "number"):
+    """Return ``value``; raises ValueError unless it is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"expected a positive finite {name}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class UpaGeometry:
@@ -40,14 +49,13 @@ class UpaGeometry:
     dipole_radius: float = 1.0 / 500.0
 
     def __post_init__(self) -> None:
-        if self.m_y < 1 or self.m_z < 1:
-            raise ValueError("element counts must be positive")
-        for name in ("d_y", "d_z", "dipole_length", "dipole_radius"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+        for item in fields(self):
+            check_positive_finite(getattr(self, item.name), item.name)
         if self.dipole_radius >= self.dipole_length / 10.0:
-            raise ValueError("thin-dipole regime requires radius < length/10")
+            raise ValueError(
+                f"thin dipoles need geometry.dipole_radius = {self.dipole_radius!r} "
+                f"below geometry.dipole_length / 10 = {self.dipole_length / 10.0!r}"
+            )
         if self.m_y > 1 and self.d_y < 2.0 * self.dipole_radius:
             raise ValueError(
                 f"geometry.d_y = {self.d_y!r} is below the wire diameter "
@@ -58,8 +66,9 @@ class UpaGeometry:
         ka2l = 2.0 * math.pi * 2.0 * self.dipole_radius**2 / self.dipole_length
         if ka2l < sys.float_info.min:
             raise ValueError(
-                f"geometry.dipole_radius = {self.dipole_radius!r} is too small: "
-                f"4 pi dipole_radius^2 / dipole_length = {ka2l!r} is not a normal double"
+                f"geometry.dipole_radius = {self.dipole_radius!r} is too small for "
+                f"geometry.dipole_length = {self.dipole_length!r}: 4 pi dipole_radius^2 "
+                f"/ dipole_length = {ka2l!r} is not a normal double"
             )
 
     @property

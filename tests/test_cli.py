@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import holoest
-from holoest import cli, correlation, coupling, linalg
+from holoest import cli, config, correlation, coupling, linalg
 from holoest.cli import main
-from holoest.config import ConfigError, load_config, parse_config
+from holoest.config import REFERENCE_CONFIG, CliConfig, ConfigError, load_config, parse_config
+from holoest.experiments import CouplingConfig, SweepConfig
+from holoest.geometry import UpaGeometry
 
 pytestmark = pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
 
@@ -45,6 +47,40 @@ def single_cfg(tmp_path):
     path = tmp_path / "single.cfg"
     path.write_text(SINGLE, encoding="utf-8")
     return str(path)
+
+
+def reject(tmp_path, capsys, text, flags=()):
+    """Run ``sweep`` on a config of ``text``: it must exit 1 with one stderr
+    line and write nothing.  Returns the config path and that line."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main([*flags, "--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out_dir.exists()
+    return path, lines[0]
+
+
+# (key, value) rows, each one value outside its key's rule
+_REJECTED = [
+    *((key, v) for key in ("geometry.m_y", "geometry.m_z") for v in ("0", "-1", "2.5")),
+    *(
+        (f"geometry.{key}", v)
+        for key in ("d_y", "d_z", "dipole_length", "dipole_radius")
+        for v in ("0", "-1")
+    ),
+    *((f"coupling.{key}", v) for key in ("frequency", "conductivity") for v in ("0", "-1")),
+    ("sweep.mc_trials", "-1"),
+    ("sweep.mc_trials", "50"),
+    ("sweep.snr_db", "4, -4"),
+    ("sweep.snr_db", "4, 4"),  # used to write every row twice
+    ("sweep.snr_db", "4:2:-4"),
+    ("sweep.snr_db", "10:5e-324:-10"),  # used to overflow counting its points
+    ("scenario.kind", "banana"),
+]
 
 
 def count_calls(monkeypatch, func):
@@ -128,16 +164,9 @@ class TestConfigParsing:
         ids=lambda p: p.replace("{}", "x").replace(", ", ","),
     )
     def test_non_finite_value_rejected(self, tmp_path, capsys, key, template, bad):
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"geometry.m_y = 2\n{key} = {template.format(bad)}\n")
-        out_dir = tmp_path / "out"
-        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
-        err = capsys.readouterr().err
-        assert code == 1
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"{path}:2" in lines[0] and key in lines[0]
-        assert not out_dir.exists()
+        text = f"geometry.m_y = 2\n{key} = {template.format(bad)}\n"
+        path, line = reject(tmp_path, capsys, text)
+        assert line.startswith(f"error: {path}:2: bad value for {key}: ")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -150,15 +179,12 @@ class TestConfigParsing:
         ],
     )
     def test_out_of_range_integer_rejected(self, tmp_path, capsys, key, value):
-        flags = ["--seed", value] if key == "--seed" else []
-        path = tmp_path / "bad.cfg"
-        path.write_text("geometry.m_y = 2\n" + ("" if flags else f"{key} = {value}\n"))
-        out_dir = tmp_path / "out"
-        code = main(flags + ["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
-        assert not out_dir.exists()
+        if key == "--seed":
+            _, line = reject(tmp_path, capsys, "geometry.m_y = 2\n", ["--seed", value])
+            assert line.startswith("error: --seed: ")
+            return
+        path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")
+        assert line.startswith(f"error: {path}:2: bad value for {key}: ")
 
     @pytest.mark.parametrize("bad", ["1e300", "-1e300"])
     @pytest.mark.parametrize("template", ["{}", "-4, {}, 8"])
@@ -166,17 +192,9 @@ class TestConfigParsing:
         self, tmp_path, capsys, template, bad
     ):
         # 10^(snr/10) overflows to inf at 1e300 dB and underflows to 0 at -1e300
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"geometry.m_y = 2\nsweep.snr_db = {template.format(bad)}\n")
-        out_dir = tmp_path / "out"
-        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "Traceback" not in err
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"{path}:2" in lines[0] and "sweep.snr_db" in lines[0]
-        assert not out_dir.exists()
+        text = f"geometry.m_y = 2\nsweep.snr_db = {template.format(bad)}\n"
+        path, line = reject(tmp_path, capsys, text)
+        assert line.startswith(f"error: {path}:2: bad value for sweep.snr_db: ")
 
     @pytest.mark.parametrize("snr_db", ["3000", "-3080"])
     def test_snr_point_without_finite_nmse_is_error(self, tmp_path, capsys, snr_db):
@@ -205,32 +223,39 @@ class TestConfigParsing:
     def test_series_tolerance_outside_domain_rejected(self, tmp_path, capsys, value):
         # above 1e-6 the series' truncation error can pass the 1e-6 that
         # validate allows; 1e300 used to exit 0 with a wrong R_iso
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"geometry.m_y = 2\nscenario.series_tol = {value}\n")
-        out_dir = tmp_path / "out"
-        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"{path}:2" in lines[0] and "scenario.series_tol" in lines[0]
-        assert not out_dir.exists()
+        text = f"geometry.m_y = 2\nscenario.series_tol = {value}\n"
+        path, line = reject(tmp_path, capsys, text)
+        assert line.startswith(f"error: {path}:2: bad value for scenario.series_tol: ")
 
     def test_repeated_estimator_rejected(self, tmp_path, capsys):
         # ls,ls used to write every ls row twice
-        path = tmp_path / "bad.cfg"
-        path.write_text("geometry.m_y = 2\nsweep.estimators = ls, mmse_iso, ls\n")
-        out_dir = tmp_path / "out"
-        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"{path}:2" in lines[0] and "sweep.estimators" in lines[0]
-        assert not out_dir.exists()
+        text = "geometry.m_y = 2\nsweep.estimators = ls, mmse_iso, ls\n"
+        path, line = reject(tmp_path, capsys, text)
+        assert line.startswith(f"error: {path}:2: bad value for sweep.estimators: ")
+
+    @pytest.mark.parametrize("key, value", _REJECTED)
+    def test_rejected_value_names_line_and_key(self, tmp_path, capsys, key, value):
+        path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")
+        assert line.startswith(f"error: {path}:2: bad value for {key}: ")
 
     def test_defaults_without_file(self):
         config = load_config(None)
         assert config.geometry().m_y == 10
-        assert config.scenario_kind() == "isotropic"
+        assert config.get("scenario", "kind") == "isotropic"
+
+    def test_reference_config_is_the_only_list_of_defaults(self):
+        parsed = parse_config(REFERENCE_CONFIG)
+        defaults = CliConfig()
+        for section, parsers in config._SCHEMA.items():
+            assert all(callable(parse) for parse in parsers.values())
+            for key in parsers:
+                assert parsed.get(section, key) == defaults.get(section, key), key
+        # blank in REFERENCE_CONFIG: no scenario file and no seed
+        assert (defaults.get("scenario", "file"), defaults.get("scenario", "seed")) == ("", None)
+        geometry = UpaGeometry(m_y=10, m_z=10, d_y=0.2, d_z=0.2)
+        assert parsed.geometry() == geometry
+        assert parsed.coupling() == CouplingConfig()
+        assert parsed.sweep_config() == SweepConfig(geometry=geometry)
 
 
 class TestCorrelationCommand:

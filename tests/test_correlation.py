@@ -107,6 +107,18 @@ class TestBesselRule:
             iso_matrix(UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6))
         assert err.value.estimate > 1e-8
 
+    def test_rules_are_built_once_per_order(self):
+        # ~190 orders, more than the 64 rules the cache used to hold: every
+        # call rebuilt all of them
+        dy = np.linspace(2.0, 20.0, 200)
+        correlation._leggauss.cache_clear()
+        first = iso_entry(dy, 0.0)
+        built = correlation._leggauss.cache_info()
+        assert built.misses == built.currsize > 64
+        second = iso_entry(dy, 0.0)
+        assert correlation._leggauss.cache_info().misses == built.misses
+        assert np.array_equal(first, second)
+
 
 class TestQuadratureEntry:
     def test_zero_offset_gives_total_power(self):

@@ -54,6 +54,12 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, snr_grid_db=(0.0, -10.0))
 
+    def test_rejects_repeated_snr_point(self, geom_4x4):
+        # a repeat wrote its rows twice, from two Monte Carlo streams, and
+        # SweepResult.row found only the first
+        with pytest.raises(ValueError, match="strictly ascend"):
+            SweepConfig(geometry=geom_4x4, snr_grid_db=(0.0, 4.0, 4.0))
+
     def test_rejects_small_mc(self, geom_4x4):
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, mc_trials=10)

@@ -58,6 +58,20 @@ def test_geometry_validation():
         UpaGeometry(m_y=2, m_z=2, d_y=0.5, d_z=0.5, dipole_radius=1e-160)
 
 
+@pytest.mark.parametrize(
+    "fields, keys",
+    [
+        ({"dipole_radius": 0.06}, ("geometry.dipole_radius", "geometry.dipole_length")),
+        ({"d_y": 0.0039}, ("geometry.d_y", "geometry.dipole_radius")),
+        ({"dipole_radius": 1e-160}, ("geometry.dipole_radius", "geometry.dipole_length")),
+    ],
+)
+def test_cross_key_rules_name_both_keys(fields, keys):
+    with pytest.raises(ValueError) as err:
+        UpaGeometry(**{"m_y": 2, "m_z": 2, "d_y": 0.5, "d_z": 0.5, **fields})
+    assert all(key in str(err.value) for key in keys)
+
+
 def test_direction_validation():
     Direction(azimuth=0.5, elevation=-0.5)
     with pytest.raises(ValueError):
