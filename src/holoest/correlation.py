@@ -6,8 +6,9 @@ Three construction routes:
   inter-element separations and, beyond its radius, a 1-D Gauss-Legendre
   rule on the elevation integral left after the azimuth integral is done in
   closed form as a Bessel function,
-* a generic adaptive 2-D quadrature of the scattering integral, used as the
-  independent oracle for everything else,
+* a generic adaptive 2-D quadrature of the scattering integral (tensor
+  Gauss-Kronrod 21 cubature in numpy), used as the independent oracle for
+  everything else,
 * a clustered non-isotropic model integrated per cluster on panel-refined
   Gauss-Legendre grids tuned to each cluster's angular support, with the 2-D
   sum factorized: one azimuth sum per y-step, then one matmul over z-steps.
@@ -20,13 +21,20 @@ the integral of ``f * exp(j k^T delta_r)``.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .geometry import UpaGeometry, even_separation_matrix, separation_fill, unsigned_offsets
+from .geometry import (
+    UpaGeometry,
+    check_positive_finite,
+    even_separation_matrix,
+    separation_fill,
+    unsigned_offsets,
+)
 from .linalg import CovarianceMatrix, psd_clamp
 from .special import DIPOLE_DIRECTIVITY, alpha_coefficient, bessel_j0
 
@@ -237,9 +245,9 @@ class QuadratureOptions:
     ``abs_tol`` is the absolute error target of each cos and sin part, with a
     relative target of 1e-10 beside it.  ``limit`` is the subdivision budget
     of the adaptive cubature over each breakpoint-bounded sub-rectangle (each
-    subdivision quarters the worst region); the default, scipy's own, lets an
-    isotropic offset converge out to the Bessel rule's 100-wavelength range
-    (offset (0, 70, 70), 99 wavelengths long, takes 4260).
+    subdivision quarters the worst region); the default lets an isotropic
+    offset converge out to the Bessel rule's 100-wavelength range (offset
+    (0, 70, 70), 99 wavelengths long, takes 4260).
     ``azimuth_points`` and ``elevation_points`` are breakpoints: the domain is
     split at them into sub-rectangles whose integrals are summed.
     """
@@ -253,6 +261,95 @@ class QuadratureOptions:
 def _axis_edges(points) -> list[float]:
     inside = sorted({p for p in points or () if -_HALF_PI < p < _HALF_PI})
     return [-_HALF_PI, *inside, _HALF_PI]
+
+
+# QUADPACK's dqk21 (Piessens et al., 1983): the Kronrod-21 abscissae on [0, 1]
+# in decreasing order, and their weights.  Every second abscissa, from the
+# second on, is a node of the embedded Gauss-10 rule.
+_DQK21_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_DQK21_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+
+
+@lru_cache(maxsize=1)
+def _gk21_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 21 on [-1, 1]: ascending nodes, and the Kronrod weights
+    over the Gauss-10 weights (zero at the Kronrod-only nodes)."""
+    half_nodes, half_weights = np.array(_DQK21_XGK), np.array(_DQK21_WGK)
+    nodes = np.concatenate((-half_nodes[:-1], half_nodes[::-1]))
+    kronrod = np.concatenate((half_weights[:-1], half_weights[::-1]))
+    gauss = np.zeros(nodes.size)
+    gauss[1::2] = _leggauss(10)[1]
+    return nodes, np.stack((kronrod, gauss))
+
+
+def _gk21_cubature(integrand, lo, hi, atol: float, rtol: float, limit: int):
+    """Adaptive tensor Gauss-Kronrod 21 cubature over the rectangle [lo, hi].
+
+    ``integrand`` maps ``(n, 2)`` nodes to ``(n, m)`` values.  A region's
+    estimate is its 21 x 21 Kronrod sum and its error |Kronrod - Gauss-10|,
+    per output.  While some output's summed error exceeds atol + rtol |sum|,
+    the region with the largest error is quartered at its midpoint, its four
+    children evaluated in one integrand call; ``limit`` subdivisions stop it.
+    Returns the summed estimates and errors.
+    """
+    nodes, (kronrod, gauss) = _gk21_rule()
+    unit = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    tensor = np.outer(kronrod, kronrod).ravel()
+    weights = np.stack((tensor, tensor - np.outer(gauss, gauss).ravel()))
+
+    def apply(lo, hi):  # (r, 2) corners -> (r, m) estimates and errors
+        points = (unit + 1.0) * (0.5 * (hi - lo))[:, None] + lo[:, None]
+        values = integrand(points.reshape(-1, 2)).reshape(len(lo), len(unit), -1)
+        sums = (weights @ values) * (np.prod(hi - lo, axis=1) / 4.0)[:, None, None]
+        return sums[:, 0], np.abs(sums[:, 1])
+
+    lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    est, err = apply(lo, hi)
+    total, total_err = est[0].copy(), err[0].copy()
+    # max-heap on each region's largest error; the count breaks ties
+    heap = [(-err[0].max(), 0, lo[0], hi[0], est[0], err[0])]
+    subdivisions = 0
+    while np.any(total_err > atol + rtol * np.abs(total)):
+        _, _, a, b, region_est, region_err = heapq.heappop(heap)
+        total -= region_est
+        total_err -= region_err
+        mid = 0.5 * (a + b)
+        lo = np.array([a, [a[0], mid[1]], [mid[0], a[1]], mid])
+        hi = np.array([mid, [mid[0], b[1]], [b[0], mid[1]], b])
+        est, err = apply(lo, hi)
+        for i in range(4):
+            total += est[i]
+            total_err += err[i]
+            tiebreak = 4 * subdivisions + i + 1
+            heapq.heappush(heap, (-err[i].max(), tiebreak, lo[i], hi[i], est[i], err[i]))
+        subdivisions += 1
+        if subdivisions >= limit:
+            break
+    return total, total_err
 
 
 def quadrature_entry(
@@ -276,8 +373,6 @@ def quadrature_entry(
     if stack.ndim != 2 or stack.shape[1] != 3:
         raise ValueError(f"offsets must have shape (3,) or (n, 3), got {offsets.shape}")
     _check_separation("quadrature", stack)
-    from scipy.integrate import cubature  # only this oracle loads scipy.integrate
-
     wave = 2.0 * math.pi * stack
 
     def integrand(nodes):
@@ -296,17 +391,11 @@ def quadrature_entry(
     error = np.zeros(2 * len(wave))
     for az_lo, az_hi in zip(az_edges[:-1], az_edges[1:]):
         for el_lo, el_hi in zip(el_edges[:-1], el_edges[1:]):
-            result = cubature(
-                integrand,
-                [az_lo, el_lo],
-                [az_hi, el_hi],
-                rule="gk21",
-                atol=atol,
-                rtol=1e-10,
-                max_subdivisions=opts.limit,
+            est, err = _gk21_cubature(
+                integrand, (az_lo, el_lo), (az_hi, el_hi), atol, 1e-10, opts.limit
             )
-            value += result.estimate
-            error += result.error
+            value += est
+            error += err
     re, im = np.split(value, 2)
     err_re, err_im = np.split(error, 2)
     estimate = err_re + err_im
@@ -338,10 +427,17 @@ class AngularCluster:
     sigma_theta: float
 
     def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError("cluster power must be nonnegative")
-        if self.sigma_phi <= 0 or self.sigma_theta <= 0:
-            raise ValueError("angular spreads must be positive")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(
+                f"cluster power must be finite and nonnegative, got {self.power!r}"
+            )
+        for name in ("sigma_phi", "sigma_theta"):
+            sigma = check_positive_finite(getattr(self, name), name)
+            # kappa = 1/(4 sigma^2) enters every exponent and the normalization
+            if not (sigma**2 > 0.0 and math.isfinite(1.0 / (4.0 * sigma**2))):
+                raise ValueError(
+                    f"{name} = {sigma!r} is too small: 1/(4 {name}^2) is not finite"
+                )
         if not (-_HALF_PI < self.azimuth < _HALF_PI):
             raise ValueError("cluster azimuth must lie in (-pi/2, pi/2)")
         if not (-_HALF_PI < self.elevation < _HALF_PI):
@@ -439,8 +535,10 @@ class ClusterScenario:
         if not clusters:
             raise ValueError("scenario needs at least one cluster")
         total_power = sum(c.power for c in clusters)
-        if total_power <= 0:
-            raise ValueError("total cluster power must be positive")
+        if not 0 < total_power < math.inf:
+            raise ValueError(
+                f"total cluster power must be positive and finite, got {total_power!r}"
+            )
         clusters = tuple(
             AngularCluster(
                 power=c.power / total_power,

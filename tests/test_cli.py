@@ -364,6 +364,18 @@ class TestCorrelationCommand:
 
 
 _CLUSTER = {"power": 1.0, "azimuth": 0.1, "elevation": -0.2, "sigma_phi": 0.05}
+# values a cluster field must reject when the file is read, naming the field:
+# past the reader they fail far from their cause (a NaN spread as a
+# non-converging eigensolver, a 1e-200 spread as a division by zero in kappa)
+_BAD_FIELDS = [
+    *(
+        (key, value)
+        for key in ("sigma_phi", "sigma_theta")
+        for value in (math.nan, math.inf, -math.inf, 0.0, 1e-200)
+    ),
+    ("power", math.nan),
+    ("power", math.inf),
+]
 
 
 class TestScenarioFile:
@@ -372,8 +384,19 @@ class TestScenarioFile:
         [
             ({"clusters": [_CLUSTER]}, "sigma_theta"),  # a cluster lacks a field
             ([dict(_CLUSTER, sigma_theta=0.05)], "TypeError"),  # top level is a list
+            *(
+                ({"clusters": [{**_CLUSTER, "sigma_theta": 0.05, key: value}]}, key)
+                for key, value in _BAD_FIELDS
+            ),
+            # finite powers whose sum overflows
+            ({"clusters": [dict(_CLUSTER, sigma_theta=0.05, power=1e308)] * 2}, "power"),
         ],
-        ids=["missing_key", "top_level_list"],
+        ids=[
+            "missing_key",
+            "top_level_list",
+            *(f"{key}={value!r}" for key, value in _BAD_FIELDS),
+            "power_sum_overflows",
+        ],
     )
     def test_malformed_file_is_config_error(self, tmp_path, capsys, content, detail):
         scenario = tmp_path / "scenario.json"
@@ -486,11 +509,11 @@ class TestSweepCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
         assert not out_dir.exists()
 
-    def test_analytic_sweep_never_loads_the_quadrature_oracle(self, tmp_path):
-        # importing the scipy.special package costs ~0.3 s, about half the
-        # start-up of a short run; only the quadrature oracle, sqrtm under
-        # use_full_impedance and the gesvd retry of thin_svd load scipy, so
-        # neither the import nor analytic sweeps nor subspace may
+    def test_sweeps_validate_and_quadrature_never_load_scipy(self, tmp_path):
+        # importing scipy.special or scipy.integrate costs ~0.3 s, about half
+        # the start-up of a short run; only sqrtm under use_full_impedance and
+        # the gesvd retry of thin_svd load scipy, so neither the import, nor
+        # analytic sweeps, subspace, validate or the quadrature oracle may
         analytic = SMALL.replace("mc_trials = 1000", "mc_trials = 0")
         configs = {
             "isotropic": analytic,
@@ -503,6 +526,11 @@ class TestSweepCommand:
             sweep = ["sweep", "--out", str(tmp_path / name)]
             runs += [(f"{name} sweep", ["--config", str(path), "--quiet", *sweep])]
             runs += [(f"{name} subspace", ["--config", str(path), "--quiet", "subspace"])]
+        path = tmp_path / "3x3.cfg"
+        path.write_text("geometry.m_y = 3\ngeometry.m_z = 3\n", encoding="utf-8")
+        quadrature = ["correlation", "--mode", "quadrature", "--out", str(tmp_path / "q")]
+        runs += [("validate", ["--quiet", "validate"])]
+        runs += [("3x3 quadrature", ["--config", str(path), "--quiet", *quadrature])]
         script = (
             "import sys\n"
             "def report(label, code):\n"

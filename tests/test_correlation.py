@@ -1,6 +1,7 @@
 """Correlation construction: series vs quadrature oracle, clusters, clamping."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from holoest.correlation import (
     total_scattering,
 )
 from holoest.experiments import default_cluster_scenario
-from holoest.geometry import Direction, UpaGeometry, array_response, element_positions
+from holoest.geometry import (
+    Direction,
+    UpaGeometry,
+    array_response,
+    element_positions,
+    unsigned_offsets,
+)
 from holoest.linalg import principal_subspace, subspace_contained
 
 ZERO_SEP = 1.67 * 3 * math.pi / 16
@@ -178,6 +185,106 @@ class TestQuadratureEntry:
         with pytest.raises(QuadratureError) as err:
             quadrature_entry(hostile, (0.0, 0.0, 0.0), QuadratureOptions(limit=10))
         assert err.value.estimate > 0
+
+
+def scipy_cubature_entries(f, offsets, opts, az_edges, el_edges):
+    """``quadrature_entry`` by scipy.integrate.cubature (tensor GK21), the
+    reference its numpy cubature follows; returns entries and subdivisions."""
+    wave = 2.0 * math.pi * np.atleast_2d(offsets)
+
+    def integrand(nodes):
+        az, el = nodes[:, 0], nodes[:, 1]
+        unit = np.column_stack(
+            (np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el))
+        )
+        phase = unit @ wave.T
+        density = np.asarray(f(az, el), dtype=float)[..., None]
+        return np.concatenate((density * np.cos(phase), density * np.sin(phase)), axis=1)
+
+    atol = opts.abs_tol / ((len(az_edges) - 1) * (len(el_edges) - 1))
+    value, subdivisions = 0.0, 0
+    for az_lo, az_hi in zip(az_edges[:-1], az_edges[1:]):
+        for el_lo, el_hi in zip(el_edges[:-1], el_edges[1:]):
+            result = integrate.cubature(
+                integrand,
+                [az_lo, el_lo],
+                [az_hi, el_hi],
+                rule="gk21",
+                atol=atol,
+                rtol=1e-10,
+                max_subdivisions=opts.limit,
+            )
+            value = value + result.estimate
+            subdivisions += result.subdivisions
+    re, im = np.split(value, 2)
+    return re + 1j * im, subdivisions
+
+
+def oracle_case(name: str):
+    """Density, offsets, options and breakpoint edges of a named oracle case."""
+    full = (-math.pi / 2, math.pi / 2)
+    if name == "validate_offsets":  # validate's series_vs_quadrature stack
+        dy, dz = unsigned_offsets(UpaGeometry(m_y=10, m_z=10, d_y=0.2, d_z=0.2))
+        inside = np.hypot(dy, dz) <= SERIES_RADIUS
+        offsets = np.stack((np.zeros(inside.sum()), dy[inside], dz[inside]), axis=-1)
+        return isotropic_scattering, offsets, QuadratureOptions(), full, full
+    if name == "offset_0_14_14":
+        offsets = np.array([(0.0, 14.0, 14.0)])
+        return isotropic_scattering, offsets, QuadratureOptions(), full, full
+    # test_entries_match_quadrature_oracle's offsets, as one stack
+    cluster = narrow_cluster()
+    offsets = []
+    for geom, pairs in (
+        (UpaGeometry(m_y=2, m_z=2, d_y=0.25, d_z=0.25), ((0, 1), (0, 3), (2, 1))),
+        (
+            UpaGeometry(m_y=2, m_z=3, d_y=0.25, d_z=0.4),
+            ((0, 1), (0, 3), (2, 1), (5, 0), (1, 5)),
+        ),
+    ):
+        pos = element_positions(geom)
+        offsets += [pos[n] - pos[j] for n, j in pairs]
+    opts = QuadratureOptions(
+        abs_tol=1e-10,
+        azimuth_points=(cluster.azimuth,),
+        elevation_points=(cluster.elevation,),
+    )
+    density = partial(total_scattering, ClusterScenario.create([cluster]))
+    az_edges = (full[0], cluster.azimuth, full[1])
+    el_edges = (full[0], cluster.elevation, full[1])
+    return density, np.array(offsets), opts, az_edges, el_edges
+
+
+class TestGaussKronrodCubature:
+    def test_rule_is_exact_on_polynomials(self):
+        # Kronrod-21 is exact to degree 31 and its Gauss-10 subset to degree 19
+        nodes, (kronrod, gauss) = correlation._gk21_rule()
+        assert np.count_nonzero(gauss) == 10
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(kronrod @ nodes**k - exact) < 1e-15
+            if k <= 19:
+                assert abs(gauss @ nodes**k - exact) < 1e-15
+
+    @pytest.mark.parametrize(
+        "name", ["validate_offsets", "offset_0_14_14", "narrow_cluster_breakpoints"]
+    )
+    def test_matches_scipy_cubature(self, name):
+        f, offsets, opts, az_edges, el_edges = oracle_case(name)
+        calls = []
+
+        def counted(az, el):
+            calls.append(az.size)
+            return f(az, el)
+
+        entries = quadrature_entry(counted, offsets, opts)
+        reference, subdivisions = scipy_cubature_entries(
+            f, offsets, opts, az_edges, el_edges
+        )
+        assert np.abs(entries - reference).max() < 1e-14
+        # the same refinement: one integrand call per breakpoint sub-rectangle,
+        # then one per subdivision (its four children)
+        rectangles = (len(az_edges) - 1) * (len(el_edges) - 1)
+        assert len(calls) - rectangles == subdivisions
 
 
 class TestIsoMatrix:
