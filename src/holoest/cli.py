@@ -210,22 +210,28 @@ def cmd_sweep(args, config: CliConfig) -> int:
 
 
 def _prop2_residuals(channel):
-    """Column-space residuals for the three prior choices and the nesting."""
-    root = channel.model.coupling_sqrt
-    iso_sqrt = psd_sqrt(channel.r_iso)
-    factors = {
-        est.MMSE_TRUE: root @ psd_sqrt(channel.r_base),
-        est.MMSE_COUPLING_AWARE_ISO: root @ iso_sqrt,
-        est.MMSE_ISO: iso_sqrt,
+    """Column-space residuals for the three prior choices and the nesting.
+
+    span(C^(1/2) R^(1/2)) is read from ``effective_correlation``'s factor SVD,
+    so only R_iso^(1/2) is factored here; a shared prior is checked once."""
+
+    def factor_basis(r_eff):
+        return r_eff.eig.basis[:, : r_eff.meta["factor_rank"]]
+
+    bases = {
+        est.MMSE_TRUE: factor_basis(channel.r_mc),
+        est.MMSE_COUPLING_AWARE_ISO: factor_basis(channel.r_hat_aware),
+        est.MMSE_ISO: orthonormal_column_basis(psd_sqrt(channel.r_iso)),
     }
     rho = 10.0  # 10 dB; the spaces do not depend on the SNR
-    checks = {}
-    for scenario, (kind, factor) in enumerate(factors.items(), start=1):
-        _, checks[f"scenario{scenario}_vs_factor"] = est.verify_column_space(
-            channel.estimator(kind, rho), factor, 1e-8
-        )
-    basis_1 = orthonormal_column_basis(factors[est.MMSE_TRUE])
-    basis_2 = orthonormal_column_basis(factors[est.MMSE_COUPLING_AWARE_ISO])
+    checks, by_prior = {}, {}
+    for scenario, (kind, basis) in enumerate(bases.items(), start=1):
+        prior = channel.prior(kind)
+        if id(prior) not in by_prior:
+            spec = channel.estimator(kind, rho)
+            _, by_prior[id(prior)] = est.verify_column_space(spec, basis, 1e-8)
+        checks[f"scenario{scenario}_vs_factor"] = by_prior[id(prior)]
+    basis_1, basis_2 = bases[est.MMSE_TRUE], bases[est.MMSE_COUPLING_AWARE_ISO]
     _, checks["scenario1_in_scenario2"] = subspace_contained(basis_1, basis_2, 1e-8)
     ranks = {
         "rank_r_iso": channel.r_iso.numerical_rank(),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -539,16 +539,7 @@ class ClusterScenario:
             raise ValueError(
                 f"total cluster power must be positive and finite, got {total_power!r}"
             )
-        clusters = tuple(
-            AngularCluster(
-                power=c.power / total_power,
-                azimuth=c.azimuth,
-                elevation=c.elevation,
-                sigma_phi=c.sigma_phi,
-                sigma_theta=c.sigma_theta,
-            )
-            for c in clusters
-        )
+        clusters = tuple(replace(c, power=c.power / total_power) for c in clusters)
         terms = np.array(
             [
                 math.log(c.power)
@@ -580,28 +571,13 @@ class ClusterScenario:
     def to_dict(self) -> dict:
         return {
             "normalization_log": self.log_normalization,
-            "clusters": [
-                {
-                    "power": c.power,
-                    "azimuth": c.azimuth,
-                    "elevation": c.elevation,
-                    "sigma_phi": c.sigma_phi,
-                    "sigma_theta": c.sigma_theta,
-                }
-                for c in self.clusters
-            ],
+            "clusters": [asdict(c) for c in self.clusters],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterScenario":
         clusters = [
-            AngularCluster(
-                power=float(c["power"]),
-                azimuth=float(c["azimuth"]),
-                elevation=float(c["elevation"]),
-                sigma_phi=float(c["sigma_phi"]),
-                sigma_theta=float(c["sigma_theta"]),
-            )
+            AngularCluster(**{f.name: float(c[f.name]) for f in fields(AngularCluster)})
             for c in data["clusters"]
         ]
         return cls.create(clusters)

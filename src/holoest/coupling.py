@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import DEFAULT_DIPOLE_LENGTH, DEFAULT_DIPOLE_RADIUS
 from .geometry import UpaGeometry, check_positive_finite, even_separation_matrix
-from .linalg import CovarianceMatrix, hermitian_eig, psd_sqrt, thin_svd
+from .linalg import CovarianceMatrix, hermitian_eig, psd_sqrt, relative_rank, thin_svd
 from .special import EULER_GAMMA, cos_integral, sin_integral
 
 __all__ = [
@@ -88,7 +89,7 @@ def self_impedance(dipole_length, dipole_radius):
     return resistance + 1j * reactance
 
 
-def mutual_impedance_side_by_side(d, length: float = 0.5):
+def mutual_impedance_side_by_side(d, length: float = DEFAULT_DIPOLE_LENGTH):
     """Mutual impedance of parallel dipoles at the same height, spacing d."""
     if np.any(d <= 0):
         raise ValueError("side-by-side spacing must be positive")
@@ -102,7 +103,7 @@ def mutual_impedance_side_by_side(d, length: float = 0.5):
     return resistance + 1j * reactance
 
 
-def mutual_impedance_echelon(d, h, length: float = 0.5):
+def mutual_impedance_echelon(d, h, length: float = DEFAULT_DIPOLE_LENGTH):
     """Mutual impedance for lateral offset d > 0 and vertical offset h."""
     if np.any(d <= 0):
         raise ValueError("echelon lateral offset must be positive")
@@ -128,7 +129,9 @@ def mutual_impedance_echelon(d, h, length: float = 0.5):
     return resistance + 1j * reactance
 
 
-def mutual_impedance_collinear(h, length: float = 0.5, radius: float = 1.0 / 500.0):
+def mutual_impedance_collinear(
+    h, length: float = DEFAULT_DIPOLE_LENGTH, radius: float = DEFAULT_DIPOLE_RADIUS
+):
     """Mutual impedance of dipoles on a common axis, center offset h > 0.
 
     For h <= length (overlapping element ranges) the collinear closed form
@@ -281,6 +284,8 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
     gesvd when gesdd does not converge).  This is the same matrix as the
     triple product but keeps the weak eigenvectors consistent with the
     factor's column space, which the subspace analysis compares against.
+    ``meta["factor_rank"]`` is ``relative_rank`` of the singular values: the
+    columns ``eig.basis[:, :factor_rank]`` are ``orthonormal_column_basis(F)``.
     """
     root = model.coupling_sqrt
     if root.shape[0] != r.size:
@@ -289,7 +294,7 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
         )
     basis, singulars = thin_svd(root @ psd_sqrt(r))
     real = np.isrealobj(root) and np.isrealobj(r.entries)
-    meta = {"source_kind": r.kind}
+    meta = {"source_kind": r.kind, "factor_rank": relative_rank(singulars)}
     out = CovarianceMatrix.from_spectrum(basis, singulars**2, real, "effective", meta)
     out.meta["trace_ratio"] = out.trace() / max(r.trace(), 1e-300)
     return out

@@ -20,7 +20,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     CovarianceMatrix,
     hermitian_eig,
-    orthonormal_column_basis,
     spectral_rebuild,
     subspace_contained,
 )
@@ -151,27 +150,27 @@ def mse_eigen_expansion(
 
 
 def verify_column_space(
-    spec: EstimatorSpec, expected_factor: np.ndarray, tol: float
+    spec: EstimatorSpec, basis: np.ndarray, tol: float
 ) -> tuple[bool, float]:
-    """Check the filter's column space sits inside that of a factor matrix.
+    """Check the filter's column space sits inside span(basis), for an orthonormal
+    ``basis`` (``subspace_contained`` rejects any other) of the expected space.
 
     Also pushes a batch of random observations through the filter and checks
     the estimates land in the same space.  Returns (ok, worst residual).
     """
-    expected_factor = np.asarray(expected_factor)
-    if expected_factor.shape[0] != spec.filter.shape[0]:
-        raise ValueError("expected_factor row count must match the filter")
+    basis = np.asarray(basis)
+    if basis.shape[0] != spec.filter.shape[0]:
+        raise ValueError("basis row count must match the filter")
     basis_w, gains = spec.spectrum()
     magnitudes = np.abs(gains)
     basis_w = basis_w[:, magnitudes > DEFAULT_RANK_TOL * magnitudes.max(initial=0.0)]
-    basis_f = orthonormal_column_basis(expected_factor)
-    _, residual = subspace_contained(basis_w, basis_f, tol)
+    _, residual = subspace_contained(basis_w, basis, tol)
     rng = np.random.default_rng(0)
     batch = spec.filter @ complex_normal(rng, 16 * spec.filter.shape[0]).reshape(
         spec.filter.shape[0], 16
     )
     norm = np.linalg.norm(batch)
     if norm > 0:
-        leak = batch - basis_f @ (basis_f.conj().T @ batch)
+        leak = batch - basis @ (basis.conj().T @ batch)
         residual = max(residual, float(np.linalg.norm(leak) / norm))
     return residual < tol, residual

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,7 @@ _DEFAULT_SIGMA_DEG = 2.0
 
 _MC_CHUNK = 2048
 _MC_BLOCK = 256
+_MAX_TRIALS = 1 << 32  # trial indices are single uint32 words
 
 # numpy's SeedSequence hash and mix constants (NEP 19, after O'Neill's
 # seed_seq_fe) and PCG64's 128-bit LCG multiplier, as ``_trial_words`` and
@@ -135,9 +137,10 @@ def check_snr_grid(grid_db: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def check_mc_trials(trials: int) -> int:
-    """Return ``trials``; raises ValueError unless it is 0 (no Monte Carlo) or >= 100."""
-    if not (trials == 0 or trials >= 100):
-        raise ValueError(f"expected 0 (no Monte Carlo) or >= 100 trials, got {trials!r}")
+    """Return ``trials``; raises ValueError unless it is 0 (no Monte Carlo) or in
+    [100, 2**32]: each trial's stream key takes its index as one uint32 word."""
+    if not (trials == 0 or 100 <= trials <= _MAX_TRIALS):
+        raise ValueError(f"expected 0 (no Monte Carlo) or 100 to 2**32 trials, got {trials!r}")
     return trials
 
 
@@ -233,14 +236,20 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """Sweep rows, fixed once built (``row`` indexes them on first use), and metadata."""
+
     rows: list[SweepRow]
     metadata: dict
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[str, float], SweepRow]:
+        return {(r.estimator, r.snr_db): r for r in self.rows}
+
     def row(self, estimator: str, snr_db: float) -> SweepRow:
-        for r in self.rows:
-            if r.estimator == estimator and r.snr_db == snr_db:
-                return r
-        raise KeyError(f"no row for ({estimator}, {snr_db} dB)")
+        try:
+            return self._by_key[estimator, snr_db]
+        except KeyError:
+            raise KeyError(f"no row for ({estimator}, {snr_db} dB)") from None
 
     def estimators(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(r.estimator for r in self.rows))
@@ -336,13 +345,13 @@ def _trial_rngs(
     until the next step: each step sets the PCG64 state that
     ``pcg64_set_seed`` derives from the trial's ``_trial_words`` row (two
     128-bit LCG steps), so its draws equal ``_trial_rng``'s bit for bit.
-    Trial indices from 2**32 on take two entropy words and use ``_trial_rng``.
+    Trial indices must be below 2**32, as ``check_mc_trials`` ensures.
     """
-    stop = start + count
-    split = min(max(start, 1 << 32), stop)
+    if start + count > _MAX_TRIALS:
+        raise ValueError(f"trial index {start + count - 1} is not below 2**32")
     rng = np.random.Generator(np.random.PCG64(0))  # state is set per trial
     bit_generator = rng.bit_generator
-    words = _trial_words(base_seed, snr_index, np.arange(start, split))
+    words = _trial_words(base_seed, snr_index, np.arange(start, start + count))
     for seed_hi, seed_lo, inc_hi, inc_lo in words.tolist():
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
         state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
@@ -353,8 +362,6 @@ def _trial_rngs(
             "uinteger": 0,
         }
         yield rng
-    for trial in range(split, stop):
-        yield _trial_rng(base_seed, snr_index, trial)
 
 
 def _mc_cell(

@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
+    "DEFAULT_DIPOLE_LENGTH",
+    "DEFAULT_DIPOLE_RADIUS",
     "check_positive_finite",
     "UpaGeometry",
     "Direction",
@@ -23,6 +25,10 @@ __all__ = [
     "even_separation_matrix",
     "array_response",
 ]
+
+# half-wave thin dipole, in wavelengths
+DEFAULT_DIPOLE_LENGTH = 0.5
+DEFAULT_DIPOLE_RADIUS = 1.0 / 500.0
 
 
 def check_positive_finite(value, name: str = "number"):
@@ -45,8 +51,8 @@ class UpaGeometry:
     m_z: int
     d_y: float
     d_z: float
-    dipole_length: float = 0.5
-    dipole_radius: float = 1.0 / 500.0
+    dipole_length: float = DEFAULT_DIPOLE_LENGTH
+    dipole_radius: float = DEFAULT_DIPOLE_RADIUS
 
     def __post_init__(self) -> None:
         for item in fields(self):

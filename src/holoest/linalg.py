@@ -23,6 +23,7 @@ __all__ = [
     "spectral_rebuild",
     "psd_clamp",
     "psd_sqrt",
+    "relative_rank",
     "principal_subspace",
     "subspace_contained",
     "thin_svd",
@@ -92,10 +93,7 @@ class CovarianceMatrix:
         return float(np.trace(self.entries).real)
 
     def numerical_rank(self, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-        values = self.eig.values
-        if values.size == 0 or values[0] <= 0:
-            return 0
-        return int(np.count_nonzero(values > rel_tol * values[0]))
+        return relative_rank(self.eig.values, rel_tol)
 
 
 def _as_square(a) -> np.ndarray:
@@ -165,17 +163,22 @@ def psd_sqrt(a) -> np.ndarray:
     return spectral_rebuild(eig.basis, np.sqrt(values))
 
 
+def relative_rank(values: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """How many of the nonincreasing ``values`` exceed rel_tol times the first
+    (0 unless it is positive): the rank rule of eigen- and singular values."""
+    if values.size == 0 or values[0] <= 0:
+        return 0
+    return int(np.count_nonzero(values > rel_tol * values[0]))
+
+
 def principal_subspace(a) -> np.ndarray:
     """Orthonormal basis (M x r) for the eigenvectors above the rank cutoff.
 
-    r is the numerical rank: eigenvalues exceeding DEFAULT_RANK_TOL times the
-    largest.  A zero matrix yields an empty (M x 0) basis.
+    r is the numerical rank, ``relative_rank`` of the eigenvalues.  A zero
+    matrix yields an empty (M x 0) basis.
     """
     eig = a.eig if isinstance(a, CovarianceMatrix) else hermitian_eig(a)
-    if eig.values.size == 0 or eig.values[0] <= 0:
-        return np.zeros((eig.basis.shape[0], 0), dtype=eig.basis.dtype)
-    keep = eig.values > DEFAULT_RANK_TOL * eig.values[0]
-    return eig.basis[:, keep]
+    return eig.basis[:, : relative_rank(eig.values)]
 
 
 def _require_orthonormal(basis: np.ndarray) -> np.ndarray:
@@ -221,9 +224,5 @@ def thin_svd(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def orthonormal_column_basis(factor: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column space of an arbitrary M x N factor."""
-    factor = np.atleast_2d(np.asarray(factor))
-    u, s = thin_svd(factor)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros((factor.shape[0], 0), dtype=complex)
-    # singular values are nonincreasing, so the kept columns are a prefix
-    return u[:, : np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])]
+    u, s = thin_svd(np.atleast_2d(np.asarray(factor)))
+    return u[:, : relative_rank(s)]

@@ -204,7 +204,8 @@ def test_criterion_6_prop2_same_source(
     for r_base, r_mc in ((r_iso_10x10, r_mc_iso), (r_clu_10x10, r_mc_clu)):
         cases = _prop2_cases(model_10x10, r_base, r_iso_10x10, r_mc, r_mc_iso)
         for name, (spec, factor) in cases.items():
-            _, residual = est.verify_column_space(spec, factor, tol=1e-8)
+            basis = orthonormal_column_basis(factor)
+            _, residual = est.verify_column_space(spec, basis, tol=1e-8)
             worst = max(worst, residual)
     # isotropic case of the nesting: scenario-1 and scenario-2 factors coincide
     basis = orthonormal_column_basis(model_10x10.coupling_sqrt @ psd_sqrt(r_iso_10x10))

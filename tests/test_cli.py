@@ -9,13 +9,14 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holoest
 from holoest import cli, config, correlation, coupling, linalg
 from holoest.cli import main
 from holoest.config import REFERENCE_CONFIG, CliConfig, ConfigError, load_config, parse_config
-from holoest.experiments import CouplingConfig, SweepConfig
+from holoest.experiments import CouplingConfig, SweepConfig, gap_report, run_sweep
 from holoest.geometry import UpaGeometry
 
 pytestmark = pytest.mark.filterwarnings("ignore::holoest.coupling.GeometryOverlapWarning")
@@ -75,6 +76,7 @@ _REJECTED = [
     *((f"coupling.{key}", v) for key in ("frequency", "conductivity") for v in ("0", "-1")),
     ("sweep.mc_trials", "-1"),
     ("sweep.mc_trials", "50"),
+    ("sweep.mc_trials", "4294967297"),  # past 2**32, trial keys need two words
     ("sweep.snr_db", "4, -4"),
     ("sweep.snr_db", "4, 4"),  # used to write every row twice
     ("sweep.snr_db", "4:2:-4"),
@@ -467,6 +469,23 @@ class TestSweepCommand:
         for kind in ("mmse_true", "mmse_coupling_aware_iso", "mmse_iso", "ls"):
             assert kind in text
 
+    def test_plot_and_gap_report_scan_rows_a_fixed_number_of_times(self, geom_2x2):
+        # a row lookup used to scan every row, once per (estimator, SNR) cell,
+        # so a 10 000-point plot took seconds
+        class CountedRows(list):
+            scans = 0
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+        config = SweepConfig(geom_2x2, snr_grid_db=tuple(range(-10, 40)), mc_trials=0)
+        result = run_sweep(config)
+        result.rows = CountedRows(result.rows)
+        cli.render_sweep_svg(result)
+        gap_report(result, "mmse_true")
+        assert result.rows.scans <= 5
+
     @pytest.mark.parametrize("d_y", ["1e300", "200"])
     def test_separation_beyond_bessel_range_exits_3(self, tmp_path, capsys, d_y):
         # both lie past the 100 wavelengths the Bessel rule's order is checked
@@ -608,6 +627,21 @@ class TestSubspaceCommand:
         assert code == 0
         assert "rank_r_iso" in out
         assert "scenario1_in_scenario2" in out
+
+    @pytest.mark.parametrize("channel", ["channel_iso_10x10", "channel_clu_10x10"])
+    def test_prop2_residuals_factor_only_r_iso_sqrt(self, channel, request, monkeypatch):
+        # the coupled spaces are read from effective_correlation's factor SVDs
+        channel = request.getfixturevalue(channel)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cli._prop2_residuals(channel)
+        assert len(calls) == 1
 
 
 class TestTopLevel:

@@ -23,7 +23,7 @@ from holoest.coupling import (
 from holoest.correlation import iso_matrix
 from holoest.coupling import CouplingModel
 from holoest.geometry import UpaGeometry
-from holoest.linalg import psd_clamp
+from holoest.linalg import orthonormal_column_basis, psd_clamp, psd_sqrt, subspace_contained
 
 K = 2.0 * math.pi
 
@@ -287,3 +287,22 @@ class TestEffectiveCorrelation:
         small = psd_clamp(np.eye(3))
         with pytest.raises(ValueError):
             effective_correlation(model_4x4, small)
+
+    @pytest.mark.parametrize("prior", ["r_iso_10x10", "r_clu_10x10", "full_impedance_4x4"])
+    def test_factor_rank_slices_the_factor_basis(self, prior, request, geom_4x4):
+        # the subspace checks read span(C^(1/2) R^(1/2)) from these columns
+        if prior == "full_impedance_4x4":
+            r = request.getfixturevalue("r_iso_4x4")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GeometryOverlapWarning)
+                model = coupling_model(geom_4x4, r, use_full_impedance=True)
+        else:
+            r = request.getfixturevalue(prior)
+            model = request.getfixturevalue("model_10x10")
+        out = effective_correlation(model, r)
+        rank = out.meta["factor_rank"]
+        basis = out.eig.basis[:, :rank]
+        expected = orthonormal_column_basis(model.coupling_sqrt @ psd_sqrt(r))
+        assert rank == expected.shape[1] > 0
+        assert subspace_contained(basis, expected, 1e-12)[0]
+        assert subspace_contained(expected, basis, 1e-12)[0]

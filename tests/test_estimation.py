@@ -7,7 +7,7 @@ import pytest
 
 from holoest import estimation as est
 from holoest.coupling import effective_correlation
-from holoest.linalg import CovarianceMatrix, psd_clamp, psd_sqrt
+from holoest.linalg import CovarianceMatrix, orthonormal_column_basis, psd_clamp, psd_sqrt
 
 
 def random_covariance(m: int, seed: int, rank: int | None = None) -> CovarianceMatrix:
@@ -201,8 +201,8 @@ class TestColumnSpaceVerification:
     def test_contained_in_own_factor(self):
         r_hat = random_covariance(8, 41, rank=4)
         spec = est.mmse_filter(r_hat, rho=3.0)
-        root = psd_sqrt(r_hat)
-        ok, residual = est.verify_column_space(spec, root, tol=1e-8)
+        basis = orthonormal_column_basis(psd_sqrt(r_hat))
+        ok, residual = est.verify_column_space(spec, basis, tol=1e-8)
         assert ok
         assert residual < 1e-8
 

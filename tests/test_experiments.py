@@ -290,14 +290,18 @@ class TestTrialKeys:
     @pytest.mark.parametrize("base_seed", BASE_SEEDS)
     def test_draws_match_trial_rng(self, base_seed, snr_index):
         m = 100
-        for first, count in [(0, 1), (254, 4), (2046, 4), (2**32 - 2, 3)]:
-            # the last range crosses into 2**32, which takes the fallback
+        for first, count in [(0, 1), (254, 4), (2046, 4), (2**32 - 3, 3)]:
+            # the last range ends at the last single-word trial index
             rngs = experiments._trial_rngs(base_seed, snr_index, first, count)
             for trial, rng in zip(range(first, first + count), rngs, strict=True):
                 oracle = experiments._trial_rng(base_seed, snr_index, trial)
                 assert rng.bit_generator.state == oracle.bit_generator.state
                 draws = rng.standard_normal(4 * m)
                 assert draws.tobytes() == oracle.standard_normal(4 * m).tobytes()
+
+    def test_index_past_one_word_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            next(experiments._trial_rngs(1, 0, 2**32 - 1, 2))
 
 
 class TestValidationMode:
