@@ -27,7 +27,7 @@ from .correlation import (
     isotropic_scattering,
     quadrature_entry,
 )
-from .experiments import ValidationFailure, build_channel, pilot_snr, run_sweep
+from .experiments import ValidationFailure, build_channel, check_seed, pilot_snr, run_sweep
 from .geometry import even_separation_matrix, unsigned_offsets
 from .linalg import orthonormal_column_basis, psd_sqrt, subspace_contained
 from .special import DIPOLE_DIRECTIVITY
@@ -391,8 +391,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
+        if args.seed is not None:
+            try:
+                check_seed(args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from exc
         config = load_config(args.config)
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning  # one line each, like the errors below

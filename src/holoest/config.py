@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .correlation import ClusterScenario, check_series_tol
 from .experiments import CouplingConfig, SweepConfig, default_cluster_scenario, pilot_snr
-from .experiments import check_estimators, check_mc_trials, check_snr_grid
+from .experiments import check_bool, check_estimators, check_mc_trials, check_seed
+from .experiments import check_snr_grid
 from .geometry import UpaGeometry, check_positive_finite
 
 __all__ = ["ConfigError", "CliConfig", "REFERENCE_CONFIG", "parse_config", "load_config"]
@@ -61,23 +62,16 @@ class ConfigError(ValueError):
     """Malformed configuration input; message carries the line number."""
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    return check_bool(_BOOL_WORDS.get(raw.lower(), raw))
 
 
 def _parse_seed(raw: str) -> int | None:
     """An integer >= 0; blank, as REFERENCE_CONFIG leaves scenario.seed, is no seed."""
-    if not raw:
-        return None
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {value}")
-    return value
+    return check_seed(int(raw)) if raw else None
 
 
 def _parse_kind(raw: str) -> str:

@@ -52,7 +52,6 @@ __all__ = [
     "iso_matrix",
     "quadrature_entry",
     "cluster_scattering",
-    "total_scattering",
     "cluster_matrix",
 ]
 
@@ -229,8 +228,7 @@ def iso_matrix(geometry: UpaGeometry, tol: float = DEFAULT_SERIES_TOL) -> Covari
     """Isotropic spatial correlation matrix: ``iso_entry`` on the offset grid."""
     entries = even_separation_matrix(geometry, partial(iso_entry, tol=tol))
     fallbacks = np.count_nonzero(np.hypot(*unsigned_offsets(geometry)) > SERIES_RADIUS)
-    meta = {"series_tol": tol, "quadrature_fallback_pairs": int(fallbacks)}
-    return psd_clamp(entries, kind="isotropic", meta=meta)
+    return psd_clamp(entries, meta={"quadrature_fallback_pairs": int(fallbacks)})
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +553,6 @@ class ClusterScenario:
         log_norm = -(peak + math.log(np.sum(np.exp(terms - peak))))
         return cls(clusters=clusters, log_normalization=log_norm)
 
-    @property
-    def normalization(self) -> float:
-        return math.exp(self.log_normalization)
-
     def cluster_scale(self, n: int) -> float:
         """Scale A * P_n * exp(kappa_phi + kappa_theta) of cluster n."""
         c = self.clusters[n]
@@ -606,15 +600,6 @@ def cluster_scattering(
     if value.ndim == 0:
         return float(value)
     return value
-
-
-def total_scattering(scenario: ClusterScenario, azimuth, elevation):
-    """Summed scattering density at actual angles (azimuth, elevation)."""
-    out = None
-    for n, c in enumerate(scenario.clusters):
-        term = cluster_scattering(scenario, n, azimuth - c.azimuth, elevation - c.elevation)
-        out = term if out is None else out + term
-    return out
 
 
 def _cluster_offset_table(
@@ -674,9 +659,4 @@ def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> Covarian
     # conj(value(-dy, -dz)) = value(dy, dz) exactly
     grid = np.concatenate((table[:0:-1, ::-1].conj(), table))
     entries = separation_fill(geometry, grid)
-    meta = {
-        "quad_error_estimate": err,
-        "clusters": len(scenario.clusters),
-        "log_normalization": scenario.log_normalization,
-    }
-    return psd_clamp(entries, kind="cluster", meta=meta)
+    return psd_clamp(entries, meta={"quad_error_estimate": err})

@@ -267,12 +267,7 @@ def coupling_model(
     root = math.sqrt(scale) * root
     if not use_full_impedance:
         root = 0.5 * (root + root.T)
-    meta = {
-        "frequency_hz": frequency,
-        "conductivity_s_per_m": conductivity,
-        "normalization_scale_per_ohm": scale,
-        "r_dissipation_ohm": r_d,
-    }
+    meta = {"normalization_scale_per_ohm": scale}
     return CouplingModel(impedance=z, r_dissipation=r_d, coupling_sqrt=root, meta=meta)
 
 
@@ -294,7 +289,5 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
         )
     basis, singulars = thin_svd(root @ psd_sqrt(r))
     real = np.isrealobj(root) and np.isrealobj(r.entries)
-    meta = {"source_kind": r.kind, "factor_rank": relative_rank(singulars)}
-    out = CovarianceMatrix.from_spectrum(basis, singulars**2, real, "effective", meta)
-    out.meta["trace_ratio"] = out.trace() / max(r.trace(), 1e-300)
-    return out
+    meta = {"factor_rank": relative_rank(singulars)}
+    return CovarianceMatrix.from_spectrum(basis, singulars**2, real, meta)

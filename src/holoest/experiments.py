@@ -12,6 +12,7 @@ SNR index, trial index), so results do not depend on order or batching.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -42,6 +43,8 @@ __all__ = [
     "pilot_snr",
     "check_snr_grid",
     "check_mc_trials",
+    "check_seed",
+    "check_bool",
     "check_estimators",
     "Channel",
     "ValidationFailure",
@@ -85,6 +88,7 @@ class CouplingConfig:
     def __post_init__(self) -> None:
         check_positive_finite(self.frequency, "frequency")
         check_positive_finite(self.conductivity, "conductivity")
+        check_bool(self.use_full_impedance)
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ class SweepConfig:
             raise ValueError("scenario must be 'isotropic' or a ClusterScenario")
         check_snr_grid(self.snr_grid_db)
         check_mc_trials(self.mc_trials)
+        check_seed(self.base_seed)
         check_estimators(self.estimators)
         check_series_tol(self.series_tol)
+        check_bool(self.validation_mode)
 
 
 def pilot_snr(snr_db: float) -> float:
@@ -136,12 +142,33 @@ def check_snr_grid(grid_db: tuple[float, ...]) -> tuple[float, ...]:
     return grid_db
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_mc_trials(trials: int) -> int:
-    """Return ``trials``; raises ValueError unless it is 0 (no Monte Carlo) or in
-    [100, 2**32]: each trial's stream key takes its index as one uint32 word."""
+    """Return ``trials``; raises ValueError unless it is an integer, 0 (no Monte
+    Carlo) or in [100, 2**32]: each trial's stream key takes its index as one
+    uint32 word."""
+    if not _is_integer(trials):
+        raise ValueError(f"mc_trials must be an integer, got {trials!r}")
     if not (trials == 0 or 100 <= trials <= _MAX_TRIALS):
         raise ValueError(f"expected 0 (no Monte Carlo) or 100 to 2**32 trials, got {trials!r}")
     return trials
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed``; raises ValueError unless it is an integer >= 0."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"expected an integer >= 0, got {seed!r}")
+    return seed
+
+
+def check_bool(value: bool) -> bool:
+    """Return ``value``; raises ValueError unless it is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return value
 
 
 def check_estimators(kinds: tuple[str, ...]) -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""Uniform planar array geometry in the yz-plane and plane-wave response.
+"""Uniform planar array geometry in the yz-plane.
 
 Also owns the separation layout: every matrix of the array whose entries
 depend only on the element pair's offset is assembled by ``separation_fill``
@@ -18,12 +18,10 @@ __all__ = [
     "DEFAULT_DIPOLE_RADIUS",
     "check_positive_finite",
     "UpaGeometry",
-    "Direction",
     "element_positions",
     "separation_fill",
     "unsigned_offsets",
     "even_separation_matrix",
-    "array_response",
 ]
 
 # half-wave thin dipole, in wavelengths
@@ -82,21 +80,6 @@ class UpaGeometry:
         return self.m_y * self.m_z
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Azimuth/elevation pair, both strictly inside the open front half-space."""
-
-    azimuth: float
-    elevation: float
-
-    def __post_init__(self) -> None:
-        half = np.pi / 2
-        if not (-half < self.azimuth < half):
-            raise ValueError("azimuth must lie in (-pi/2, pi/2)")
-        if not (-half < self.elevation < half):
-            raise ValueError("elevation must lie in (-pi/2, pi/2)")
-
-
 def _grid_indices(geometry: UpaGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(y-index, z-index) arrays of all elements, in element order."""
     m = np.arange(geometry.size)
@@ -142,13 +125,3 @@ def even_separation_matrix(geometry: UpaGeometry, evaluate) -> np.ndarray:
     iz = np.abs(np.arange(1 - geometry.m_z, geometry.m_z))
     return separation_fill(geometry, unsigned[np.ix_(iy, iz)])
 
-
-def array_response(geometry: UpaGeometry, direction: Direction) -> np.ndarray:
-    """Unit-modulus response vector for a plane wave from the given direction.
-
-    Entry m is exp(j k^T r_m); element 0 is at the origin so its entry is 1.
-    """
-    az, el = direction.azimuth, direction.elevation
-    unit = np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
-    phase = 2.0 * np.pi * element_positions(geometry) @ unit
-    return np.exp(1j * phase)

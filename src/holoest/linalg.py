@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "COVARIANCE_KINDS",
     "DEFAULT_RANK_TOL",
     "CovarianceMatrix",
     "Eigendecomposition",
@@ -29,8 +28,6 @@ __all__ = [
     "thin_svd",
     "orthonormal_column_basis",
 ]
-
-COVARIANCE_KINDS = ("isotropic", "cluster", "effective", "custom")
 
 DEFAULT_RANK_TOL = 1e-8
 # Eigenvalues below this times the largest are roundoff, clamped to zero.
@@ -53,17 +50,14 @@ class CovarianceMatrix:
     """Hermitian PSD matrix with a lazily cached eigendecomposition."""
 
     entries: np.ndarray
-    kind: str = "custom"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in COVARIANCE_KINDS:
-            raise ValueError(f"unknown covariance kind {self.kind!r}")
         self.entries = _require_hermitian(_as_square(self.entries))
         self._eig: Eigendecomposition | None = None
 
     @classmethod
-    def from_spectrum(cls, basis, values, real: bool, kind="custom", meta=None):
+    def from_spectrum(cls, basis, values, real: bool, meta=None):
         """Rebuild from an orthonormal basis and eigenvalues, clamping roundoff.
 
         The basis and the clamped values become the cached decomposition;
@@ -75,7 +69,7 @@ class CovarianceMatrix:
         entries = spectral_rebuild(basis, values)
         if real:
             entries = entries.real
-        out = cls(entries, kind=kind, meta=dict(meta or {}))
+        out = cls(entries, meta=dict(meta or {}))
         out._eig = Eigendecomposition(basis=basis, values=values)
         return out
 
@@ -132,7 +126,7 @@ def spectral_rebuild(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (rebuilt + rebuilt.conj().T)
 
 
-def psd_clamp(a, kind: str = "custom", meta: dict | None = None) -> CovarianceMatrix:
+def psd_clamp(a, meta: dict | None = None) -> CovarianceMatrix:
     """Zero out eigenvalues below _CLAMP_TOL * lambda_1 and rewrap as PSD.
 
     Accepts an ndarray or CovarianceMatrix; input must be square and
@@ -140,9 +134,7 @@ def psd_clamp(a, kind: str = "custom", meta: dict | None = None) -> CovarianceMa
     """
     entries = _as_square(a)
     eig = hermitian_eig(entries)
-    return CovarianceMatrix.from_spectrum(
-        eig.basis, eig.values, np.isrealobj(entries), kind=kind, meta=meta
-    )
+    return CovarianceMatrix.from_spectrum(eig.basis, eig.values, np.isrealobj(entries), meta)
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -82,6 +82,10 @@ _REJECTED = [
     ("sweep.snr_db", "4:2:-4"),
     ("sweep.snr_db", "10:5e-324:-10"),  # used to overflow counting its points
     ("scenario.kind", "banana"),
+    ("sweep.base_seed", "1.5"),
+    ("scenario.seed", "7.0"),
+    ("coupling.use_full_impedance", "maybe"),
+    ("sweep.validation_mode", "2"),
 ]
 
 
@@ -234,6 +238,25 @@ class TestConfigParsing:
         text = "geometry.m_y = 2\nsweep.estimators = ls, mmse_iso, ls\n"
         path, line = reject(tmp_path, capsys, text)
         assert line.startswith(f"error: {path}:2: bad value for sweep.estimators: ")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sweep.base_seed", "-1", "expected an integer >= 0, got -1"),
+            ("scenario.seed", "-3", "expected an integer >= 0, got -3"),
+            ("coupling.use_full_impedance", "maybe", "expected a boolean, got 'maybe'"),
+            ("sweep.validation_mode", "False!", "expected a boolean, got 'False!'"),
+            (
+                "sweep.mc_trials",
+                "50",
+                "expected 0 (no Monte Carlo) or 100 to 2**32 trials, got 50",
+            ),
+        ],
+    )
+    def test_shared_rule_message(self, tmp_path, capsys, key, value, message):
+        # the owning type's rule, applied by the parser, prints the parser's message
+        path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")
+        assert line == f"error: {path}:2: bad value for {key}: {message}"
 
     @pytest.mark.parametrize("key, value", _REJECTED)
     def test_rejected_value_names_line_and_key(self, tmp_path, capsys, key, value):

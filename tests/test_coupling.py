@@ -263,7 +263,6 @@ class TestEffectiveCorrelation:
     def test_identity_coupling_returns_correlation(self, r_iso_4x4):
         out = effective_correlation(self._identity_model(r_iso_4x4.size), r_iso_4x4)
         assert np.abs(out.entries - r_iso_4x4.entries).max() < 1e-10
-        assert out.kind == "effective"
 
     def test_identity_correlation_returns_coupling(self, model_4x4):
         eye = psd_clamp(np.eye(model_4x4.size))

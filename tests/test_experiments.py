@@ -9,7 +9,8 @@ import pytest
 
 from holoest import estimation as est
 from holoest import experiments
-from holoest.coupling import GeometryOverlapWarning
+from holoest.correlation import cluster_matrix, iso_matrix
+from holoest.coupling import GeometryOverlapWarning, effective_correlation
 from holoest.experiments import (
     CouplingConfig,
     SweepConfig,
@@ -63,6 +64,43 @@ class TestSweepConfigValidation:
     def test_rejects_small_mc(self, geom_4x4):
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, mc_trials=10)
+
+    @pytest.mark.parametrize("trials", [1000.0, 100.5, True, "1000"])
+    def test_rejects_non_integer_mc_trials(self, geom_2x2, trials):
+        # a float count used to fail later, inside numpy's normal draws
+        with pytest.raises(ValueError, match="mc_trials"):
+            SweepConfig(geometry=geom_2x2, mc_trials=trials)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_rejects_base_seed_outside_rule(self, geom_2x2, seed):
+        # these used to fail inside SeedSequence, or never with mc_trials = 0
+        with pytest.raises(ValueError, match="integer >= 0"):
+            SweepConfig(geometry=geom_2x2, mc_trials=0, base_seed=seed)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: CouplingConfig(use_full_impedance="false"),
+            lambda g: CouplingConfig(use_full_impedance=1),
+            lambda g: SweepConfig(geometry=g, validation_mode="false"),
+            lambda g: SweepConfig(geometry=g, validation_mode=0),
+        ],
+    )
+    def test_rejects_non_bool_switch(self, geom_2x2, build):
+        # the truthy string "false" used to take the full-impedance path
+        with pytest.raises(ValueError, match="expected a boolean"):
+            build(geom_2x2)
+
+    def test_numpy_integers_match_python_ints(self, geom_2x2):
+        def rows(trials, seed):
+            config = SweepConfig(
+                geometry=geom_2x2, snr_grid_db=(0.0,), mc_trials=trials, base_seed=seed
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GeometryOverlapWarning)
+                return run_sweep(config).rows
+
+        assert rows(np.int64(200), np.int64(5)) == rows(200, 5)
 
     def test_rejects_unknown_estimator(self, geom_4x4):
         with pytest.raises(ValueError):
@@ -334,14 +372,16 @@ class TestBuildChannel:
         assert channel.prior(est.LS) is None
 
     def test_cluster_aware_prior_is_coupled_isotropic(self, geom_2x2):
-        config = SweepConfig(
-            geometry=geom_2x2, scenario=default_cluster_scenario(3), mc_trials=0
-        )
+        scenario = default_cluster_scenario(3)
+        config = SweepConfig(geometry=geom_2x2, scenario=scenario, mc_trials=0)
         channel = build_channel(config)
         assert channel.scenario == "cluster"
         assert channel.r_hat_aware is not channel.r_mc
-        assert channel.r_hat_aware.meta["source_kind"] == "isotropic"
-        assert channel.r_mc.meta["source_kind"] == "cluster"
+        aware = effective_correlation(channel.model, iso_matrix(geom_2x2))
+        true = effective_correlation(channel.model, cluster_matrix(geom_2x2, scenario))
+        assert np.array_equal(channel.r_hat_aware.entries, aware.entries)
+        assert np.array_equal(channel.r_mc.entries, true.entries)
+        assert not np.allclose(aware.entries, true.entries)
 
     @pytest.mark.parametrize("scenario", ["isotropic", "cluster"])
     def test_rows_match_trace_oracle(self, geom_4x4, geom_2x2, monkeypatch, scenario):

@@ -1,6 +1,4 @@
-"""Array geometry, the separation layout, and the plane-wave response."""
-
-import math
+"""Array geometry and the separation layout."""
 
 import numpy as np
 import pytest
@@ -15,9 +13,7 @@ from holoest.coupling import (
     self_impedance,
 )
 from holoest.geometry import (
-    Direction,
     UpaGeometry,
-    array_response,
     element_positions,
     even_separation_matrix,
 )
@@ -70,41 +66,6 @@ def test_cross_key_rules_name_both_keys(fields, keys):
     with pytest.raises(ValueError) as err:
         UpaGeometry(**{"m_y": 2, "m_z": 2, "d_y": 0.5, "d_z": 0.5, **fields})
     assert all(key in str(err.value) for key in keys)
-
-
-def test_direction_validation():
-    Direction(azimuth=0.5, elevation=-0.5)
-    with pytest.raises(ValueError):
-        Direction(azimuth=math.pi / 2, elevation=0.0)
-    with pytest.raises(ValueError):
-        Direction(azimuth=0.0, elevation=-math.pi / 2)
-
-
-def test_array_response_broadside_all_ones():
-    geom = UpaGeometry(m_y=3, m_z=4, d_y=0.2, d_z=0.2)
-    a = array_response(geom, Direction(0.0, 0.0))
-    assert np.allclose(a, np.ones(geom.size))
-
-
-def test_array_response_unit_modulus():
-    geom = UpaGeometry(m_y=4, m_z=4, d_y=0.2, d_z=0.2)
-    a = array_response(geom, Direction(0.7, -0.4))
-    assert np.allclose(np.abs(a), 1.0)
-    assert np.allclose(a * np.conj(a), np.ones(geom.size))
-
-
-def test_array_response_near_zenith_phases(geom_2x2):
-    # z-indices run fastest: elements 0..3 sit at rz = (0, 1, 0, 1), so a wave
-    # from near-zenith phases them as (0, pi/2, 0, pi/2) at quarter spacing.
-    a = array_response(geom_2x2, Direction(0.0, math.pi / 2 - 1e-9))
-    phases = np.angle(a)
-    assert phases == pytest.approx([0.0, math.pi / 2, 0.0, math.pi / 2], abs=1e-6)
-
-
-def test_array_response_entry_is_first_element_normalized():
-    geom = UpaGeometry(m_y=5, m_z=2, d_y=0.31, d_z=0.17)
-    a = array_response(geom, Direction(0.3, 0.2))
-    assert a[0] == pytest.approx(1.0)
 
 
 def _pair_impedance(geom, dy, dz):
