@@ -224,13 +224,14 @@ def _prop2_residuals(channel):
         est.MMSE_ISO: orthonormal_column_basis(psd_sqrt(channel.r_iso)),
     }
     rho = 10.0  # 10 dB; the spaces do not depend on the SNR
-    checks, by_prior = {}, {}
-    for scenario, (kind, basis) in enumerate(bases.items(), start=1):
-        prior = channel.prior(kind)
-        if id(prior) not in by_prior:
-            spec = channel.estimator(kind, rho)
-            _, by_prior[id(prior)] = est.verify_column_space(spec, basis, 1e-8)
-        checks[f"scenario{scenario}_vs_factor"] = by_prior[id(prior)]
+    residuals = {}
+    for prior, kinds in channel.priors(bases).items():
+        spec = channel.estimator(prior, rho)
+        _, residuals[prior] = est.verify_column_space(spec, bases[kinds[0]], 1e-8)
+    checks = {
+        f"scenario{scenario}_vs_factor": residuals[channel.prior(kind)]
+        for scenario, kind in enumerate(bases, start=1)
+    }
     basis_1, basis_2 = bases[est.MMSE_TRUE], bases[est.MMSE_COUPLING_AWARE_ISO]
     _, checks["scenario1_in_scenario2"] = subspace_contained(basis_1, basis_2, 1e-8)
     ranks = {
@@ -295,10 +296,10 @@ def _validate_checks(sweep_config, channel):
     # route against the dense error-covariance trace of each built filter
     rhos = [pilot_snr(snr_db) for snr_db in _VALIDATE_SNR_DB]
     worst_rel = 0.0
-    for kind in est.ESTIMATOR_KINDS:
-        expansion = est.mse_eigen_expansion(channel.prior(kind), channel.r_mc, rhos)
+    for prior in channel.priors(est.ESTIMATOR_KINDS):
+        expansion = est.mse_eigen_expansion(prior, channel.r_mc, rhos)
         for rho, value in zip(rhos, expansion.tolist()):
-            trace_form = est.analytic_mse(channel.estimator(kind, rho), channel.r_mc)
+            trace_form = est.analytic_mse(channel.estimator(prior, rho), channel.r_mc)
             worst_rel = max(worst_rel, abs(value - trace_form) / abs(trace_form))
     checks.append(
         ("prop3_eigen_expansion", worst_rel < 1e-8, f"max rel diff {worst_rel:.3e}")
@@ -312,10 +313,7 @@ def _validate_checks(sweep_config, channel):
         validation_mode=False,
     )
     result = run_sweep(mc_config, channel)
-    worst_sigma = 0.0
-    for row in result.rows:
-        sigma = abs(row.mc_mse - row.analytic_mse) / max(row.mc_stderr, 1e-300)
-        worst_sigma = max(worst_sigma, sigma)
+    worst_sigma = max(row.mc_deviation_se for row in result.rows)
     checks.append(
         (
             "monte_carlo_consistency",

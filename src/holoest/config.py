@@ -20,7 +20,7 @@ from .correlation import ClusterScenario, check_series_tol
 from .experiments import CouplingConfig, SweepConfig, default_cluster_scenario, pilot_snr
 from .experiments import check_bool, check_estimators, check_mc_trials, check_seed
 from .experiments import check_snr_grid
-from .geometry import UpaGeometry, check_positive_finite
+from .geometry import UpaGeometry, check_positive_finite, check_positive_integer
 
 __all__ = ["ConfigError", "CliConfig", "REFERENCE_CONFIG", "parse_config", "load_config"]
 
@@ -110,8 +110,8 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
 # section -> key -> parser; the defaults are REFERENCE_CONFIG's values
 _SCHEMA: dict[str, dict[str, object]] = {
     "geometry": {
-        "m_y": _checked(int, check_positive_finite),
-        "m_z": _checked(int, check_positive_finite),
+        "m_y": _checked(int, check_positive_integer),
+        "m_z": _checked(int, check_positive_integer),
         "d_y": _checked(float, check_positive_finite),
         "d_z": _checked(float, check_positive_finite),
         "dipole_length": _checked(float, check_positive_finite),
@@ -136,7 +136,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "validation_mode": _parse_bool,
     },
     "output": {
-        "precision": _checked(int, check_positive_finite),
+        "precision": _checked(int, check_positive_integer),
     },
 }
 

@@ -48,22 +48,16 @@ ESTIMATOR_KINDS = (MMSE_TRUE, MMSE_COUPLING_AWARE_ISO, MMSE_ISO, LS)
 
 @dataclass(frozen=True, eq=False)
 class EstimatorSpec:
-    """Estimator kind, its filter matrix W, and the pilot SNR it assumes.
+    """A filter matrix W and the pilot SNR it assumes.
 
     ``mmse_filter`` also stores the eigenbasis and per-mode gains, which the
     column-space analysis reads instead of re-factorizing W.
     """
 
-    kind: str
     filter: np.ndarray
     rho: float
     basis: np.ndarray | None = None
     gains: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        check_positive_finite(self.rho, "pilot SNR")
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Square eigenbasis and per-mode gains of W.
@@ -82,25 +76,23 @@ def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def mmse_filter(r_hat: CovarianceMatrix, rho: float, kind: str = MMSE_TRUE) -> EstimatorSpec:
+def mmse_filter(r_hat: CovarianceMatrix, rho: float) -> EstimatorSpec:
     """Bayesian filter W = sqrt(rho) Rhat (rho Rhat + I)^-1 for a prior Rhat.
 
     Computed spectrally in Rhat's eigenbasis, which keeps rank-deficient
     priors exact: zero modes map to zero filter gain.
     """
     check_positive_finite(rho, "pilot SNR")
-    if kind == LS:
-        raise ValueError("use ls_filter for the least-squares estimator")
     eig = r_hat.eig
     gains = np.sqrt(rho) * eig.values / (rho * eig.values + 1.0)
     w = spectral_rebuild(eig.basis, gains)
-    return EstimatorSpec(kind=kind, filter=w, rho=rho, basis=eig.basis, gains=gains)
+    return EstimatorSpec(filter=w, rho=rho, basis=eig.basis, gains=gains)
 
 
 def ls_filter(rho: float, m: int) -> EstimatorSpec:
     """Least-squares filter W = I / sqrt(rho)."""
     check_positive_finite(rho, "pilot SNR")
-    return EstimatorSpec(kind=LS, filter=np.eye(m) / np.sqrt(rho), rho=rho)
+    return EstimatorSpec(filter=np.eye(m) / np.sqrt(rho), rho=rho)
 
 
 def error_covariance(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> np.ndarray:

@@ -4,15 +4,14 @@
 spatial correlation (isotropic closed form or clustered quadrature), the
 coupling model, and the coupled correlations every estimator prior comes from.
 A sweep evaluates every requested estimator at every SNR point on that model,
-analytically per prior and optionally by Monte Carlo, the one step that builds
-filters.  Trials draw from per-trial generator streams keyed by (base seed,
-SNR index, trial index), so results do not depend on order or batching.
+analytically and optionally by Monte Carlo (the one step that builds filters),
+once per distinct prior.  Trials draw from per-trial streams keyed by (base
+seed, SNR index, trial index), so results do not depend on order or batching.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -30,7 +29,7 @@ from .correlation import (
 )
 from .coupling import DEFAULT_CONDUCTIVITY, DEFAULT_FREQUENCY
 from .coupling import CouplingModel, coupling_model, effective_correlation
-from .geometry import UpaGeometry, check_positive_finite
+from .geometry import UpaGeometry, check_positive_finite, is_integer
 from .linalg import CovarianceMatrix, psd_sqrt
 
 __all__ = [
@@ -142,15 +141,11 @@ def check_snr_grid(grid_db: tuple[float, ...]) -> tuple[float, ...]:
     return grid_db
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def check_mc_trials(trials: int) -> int:
     """Return ``trials``; raises ValueError unless it is an integer, 0 (no Monte
     Carlo) or in [100, 2**32]: each trial's stream key takes its index as one
     uint32 word."""
-    if not _is_integer(trials):
+    if not is_integer(trials):
         raise ValueError(f"mc_trials must be an integer, got {trials!r}")
     if not (trials == 0 or 100 <= trials <= _MAX_TRIALS):
         raise ValueError(f"expected 0 (no Monte Carlo) or 100 to 2**32 trials, got {trials!r}")
@@ -159,7 +154,7 @@ def check_mc_trials(trials: int) -> int:
 
 def check_seed(seed: int) -> int:
     """Return ``seed``; raises ValueError unless it is an integer >= 0."""
-    if not (_is_integer(seed) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"expected an integer >= 0, got {seed!r}")
     return seed
 
@@ -213,11 +208,19 @@ class Channel:
             est.MMSE_ISO: self.r_iso,
         }.get(kind)
 
-    def estimator(self, kind: str, rho: float) -> est.EstimatorSpec:
-        prior = self.prior(kind)
+    def priors(self, kinds) -> dict[CovarianceMatrix | None, list[str]]:
+        """Each distinct prior of ``kinds``, in first-use order, with the kinds
+        that filter with it; None is LS.  Isotropic: the aware prior is r_mc."""
+        groups: dict[CovarianceMatrix | None, list[str]] = {}
+        for kind in kinds:
+            groups.setdefault(self.prior(kind), []).append(kind)
+        return groups
+
+    def estimator(self, prior: CovarianceMatrix | None, rho: float) -> est.EstimatorSpec:
+        """Filter built from ``prior`` at pilot SNR rho; None is LS."""
         if prior is None:
             return est.ls_filter(rho, self.r_mc.size)
-        return est.mmse_filter(prior, rho, kind)
+        return est.mmse_filter(prior, rho)
 
 
 def _channel_source(config: SweepConfig) -> tuple:
@@ -259,6 +262,13 @@ class SweepRow:
     analytic_nmse_db: float
     mc_mse: float | None = None
     mc_stderr: float | None = None
+
+    @property
+    def mc_deviation_se(self) -> float | None:
+        """|mc_mse - analytic_mse| in Monte Carlo standard errors; None without MC."""
+        if self.mc_mse is None:
+            return None
+        return abs(self.mc_mse - self.analytic_mse) / max(self.mc_stderr, 1e-300)
 
 
 @dataclass
@@ -392,14 +402,14 @@ def _trial_rngs(
 
 
 def _mc_cell(
-    filters: dict[str, np.ndarray],
+    filters: dict[CovarianceMatrix | None, np.ndarray],
     r_mc_sqrt: np.ndarray,
     rho: float,
     snr_index: int,
     trials: int,
     base_seed: int,
-) -> dict[str, tuple[float, float]]:
-    """Empirical squared-error mean and standard error per estimator.
+) -> dict[CovarianceMatrix | None, tuple[float, float]]:
+    """Empirical squared-error mean and standard error per filter, keyed by prior.
 
     Trial t draws its 4M standard normals from the stream of ``_trial_rng(
     base_seed, snr_index, t)`` in one call, in the order iid real, iid
@@ -409,12 +419,12 @@ def _mc_cell(
     whole block by ``_trial_rngs``; ``_trial_rng`` is the oracle those keys
     are tested against.  Squared errors are summed per ``_MC_CHUNK``; all
     M x chunk arrays live in a few buffers reused across chunks and
-    estimators.  The least-squares filter is d I, so its estimate is y times
-    d, which equals the product with d I bit for bit.
+    filters.  The least-squares filter (key None) is d I, so its estimate is
+    y times d, which equals the product with d I bit for bit.
     """
     m = r_mc_sqrt.shape[0]
-    sums = {kind: 0.0 for kind in filters}
-    sq_sums = {kind: 0.0 for kind in filters}
+    sums = dict.fromkeys(filters, 0.0)
+    sq_sums = dict.fromkeys(filters, 0.0)
     sqrt_rho = math.sqrt(rho)
     width = min(_MC_CHUNK, trials)
     draws = np.empty((_MC_BLOCK, 4 * m))
@@ -442,8 +452,8 @@ def _mc_cell(
         np.matmul(r_mc_sqrt, work, out=h)
         np.multiply(h, sqrt_rho, out=work)
         y = np.add(noise, work, out=noise)  # IEEE addition commutes
-        for kind, w in filters.items():
-            if kind == est.LS:
+        for prior, w in filters.items():
+            if prior is None:
                 estimate = np.multiply(y, w[0, 0], out=work)
             else:
                 estimate = np.matmul(w, y, out=work)
@@ -451,13 +461,13 @@ def _mc_cell(
             np.abs(err, out=sq_err)
             np.square(sq_err, out=sq_err)
             sq = np.sum(sq_err, axis=0)
-            sums[kind] += float(np.sum(sq))
-            sq_sums[kind] += float(np.sum(sq * sq))
+            sums[prior] += float(np.sum(sq))
+            sq_sums[prior] += float(np.sum(sq * sq))
     out = {}
-    for kind in filters:
-        mean = sums[kind] / trials
-        var = max(sq_sums[kind] / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
-        out[kind] = (mean, math.sqrt(var / trials))
+    for prior in filters:
+        mean = sums[prior] / trials
+        var = max(sq_sums[prior] / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
+        out[prior] = (mean, math.sqrt(var / trials))
     return out
 
 
@@ -465,11 +475,11 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     """Run the analytic (and optionally Monte Carlo) MSE sweep.
 
     One ``mse_eigen_expansion`` call per distinct prior gives the analytic
-    rows of every estimator that filters with it; filters are built only for
-    the Monte Carlo cell.  An analytic MSE without a finite NMSE raises
-    ValueError.  ``channel`` reuses a model from ``build_channel``; it must
-    have been built from the same geometry, scenario, coupling and series
-    tolerance.
+    rows of every estimator that filters with it, and one filter per prior
+    and SNR, the only filters built, their Monte Carlo columns.  An analytic
+    MSE without a finite NMSE raises ValueError.  ``channel`` reuses a model
+    from ``build_channel``; it must have been built from the same geometry,
+    scenario, coupling and series tolerance.
     """
     if channel is None:
         channel = build_channel(config)
@@ -479,31 +489,28 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     trace_mc = r_mc.trace()
     rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
 
+    priors = channel.priors(config.estimators)
     analytic: dict[str, list[float]] = {}
-    by_prior: dict[int, list[float]] = {}  # isotropic: the aware prior is r_mc
+    for prior, kinds in priors.items():
+        mses = est.mse_eigen_expansion(prior, r_mc, rhos).tolist()
+        analytic.update(dict.fromkeys(kinds, mses))
     for kind in config.estimators:
-        prior = channel.prior(kind)
-        if id(prior) not in by_prior:
-            by_prior[id(prior)] = est.mse_eigen_expansion(prior, r_mc, rhos).tolist()
-        mses = by_prior[id(prior)]
-        for snr_db, mse in zip(config.snr_grid_db, mses):
+        for snr_db, mse in zip(config.snr_grid_db, analytic[kind]):
             check_positive_finite(
                 mse / trace_mc, f"MSE / tr(R_mc) of {kind} at sweep.snr_db = {snr_db!r} dB"
             )
-        analytic[kind] = mses
 
     mc: dict[tuple[str, float], tuple[float, float]] = {}
     if config.mc_trials > 0:
         r_mc_sqrt = psd_sqrt(r_mc)
         for snr_index, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
-            filters = {
-                kind: channel.estimator(kind, rho).filter for kind in config.estimators
-            }
+            filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
             cell = _mc_cell(
                 filters, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
             )
-            for kind, stats in cell.items():
-                mc[(kind, float(snr_db))] = stats
+            for prior, kinds in priors.items():
+                for kind in kinds:
+                    mc[(kind, float(snr_db))] = cell[prior]
 
     rows: list[SweepRow] = []
     for kind in config.estimators:
@@ -521,10 +528,7 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
             )
     if config.validation_mode:
         for row in rows:
-            if row.mc_mse is None:
-                continue
-            bound = 5.0 * max(row.mc_stderr, 1e-300)
-            if abs(row.mc_mse - row.analytic_mse) > bound:
+            if row.mc_mse is not None and row.mc_deviation_se > 5.0:
                 raise ValidationFailure(
                     f"Monte Carlo mean {row.mc_mse:.6e} deviates from "
                     f"analytic {row.analytic_mse:.6e} by more than 5 SE "

@@ -8,6 +8,7 @@ from a grid of values at signed offsets, or by ``even_separation_matrix``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -17,6 +18,8 @@ __all__ = [
     "DEFAULT_DIPOLE_LENGTH",
     "DEFAULT_DIPOLE_RADIUS",
     "check_positive_finite",
+    "is_integer",
+    "check_positive_integer",
     "UpaGeometry",
     "element_positions",
     "separation_fill",
@@ -36,6 +39,18 @@ def check_positive_finite(value, name: str = "number"):
     return value
 
 
+def is_integer(value) -> bool:
+    """The one integer rule: Python and numpy integers, booleans excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_positive_integer(value, name: str = "number"):
+    """Return ``value``; raises ValueError unless it is an integer > 0."""
+    if not is_integer(value):
+        raise ValueError(f"expected an integer {name}, got {value!r}")
+    return check_positive_finite(value, name)
+
+
 @dataclass(frozen=True)
 class UpaGeometry:
     """Regular grid of z-directed thin dipoles in the yz-plane.
@@ -53,7 +68,9 @@ class UpaGeometry:
     dipole_radius: float = DEFAULT_DIPOLE_RADIUS
 
     def __post_init__(self) -> None:
-        for item in fields(self):
+        check_positive_integer(self.m_y, "m_y")
+        check_positive_integer(self.m_z, "m_z")
+        for item in fields(self)[2:]:  # the spacings and dipole dimensions
             check_positive_finite(getattr(self, item.name), item.name)
         if self.dipole_radius >= self.dipole_length / 10.0:
             raise ValueError(

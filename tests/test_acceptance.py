@@ -100,7 +100,7 @@ def _worst_expansion_diff(priors, r_mc) -> float:
             spec = (
                 est.ls_filter(rho, r_mc.size)
                 if prior is None
-                else est.mmse_filter(prior, rho, kind)
+                else est.mmse_filter(prior, rho)
             )
             trace_form = est.analytic_mse(spec, r_mc)
             worst = max(worst, abs(value - trace_form) / abs(trace_form))
@@ -182,15 +182,15 @@ def _prop2_cases(model, r_base, r_iso, r_mc, r_hat_aware):
     root = model.coupling_sqrt
     cases = {
         "scenario1": (
-            est.mmse_filter(r_mc, rho, est.MMSE_TRUE),
+            est.mmse_filter(r_mc, rho),
             root @ psd_sqrt(r_base),
         ),
         "scenario2": (
-            est.mmse_filter(r_hat_aware, rho, est.MMSE_COUPLING_AWARE_ISO),
+            est.mmse_filter(r_hat_aware, rho),
             root @ psd_sqrt(r_iso),
         ),
         "scenario3": (
-            est.mmse_filter(r_iso, rho, est.MMSE_ISO),
+            est.mmse_filter(r_iso, rho),
             psd_sqrt(r_iso),
         ),
     }
@@ -319,8 +319,8 @@ _CONDUCTIVITIES = (5.8e8, 5.8e7, 5.8e6, 5.8e5, 5.8e4)
 def _mmse_iso_gap_20db(model, r_iso, r_base) -> float:
     rho = 100.0
     r_mc = effective_correlation(model, r_base)
-    ignorant = est.analytic_mse(est.mmse_filter(r_iso, rho, est.MMSE_ISO), r_mc)
-    true = est.analytic_mse(est.mmse_filter(r_mc, rho, est.MMSE_TRUE), r_mc)
+    ignorant = est.analytic_mse(est.mmse_filter(r_iso, rho), r_mc)
+    true = est.analytic_mse(est.mmse_filter(r_mc, rho), r_mc)
     return 10.0 * math.log10(ignorant / true)
 
 

@@ -258,6 +258,19 @@ class TestConfigParsing:
         path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")
         assert line == f"error: {path}:2: bad value for {key}: {message}"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "expected a positive finite number, got 0"),
+            ("2.5", "invalid literal for int() with base 10: '2.5'"),
+        ],
+    )
+    @pytest.mark.parametrize("key", ["geometry.m_y", "geometry.m_z"])
+    def test_array_size_message(self, tmp_path, capsys, key, value, message):
+        # the sizes take geometry's integer rule; the parser's messages are kept
+        path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")
+        assert line == f"error: {path}:2: bad value for {key}: {message}"
+
     @pytest.mark.parametrize("key, value", _REJECTED)
     def test_rejected_value_names_line_and_key(self, tmp_path, capsys, key, value):
         path, line = reject(tmp_path, capsys, f"geometry.m_y = 2\n{key} = {value}\n")

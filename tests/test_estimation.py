@@ -56,7 +56,7 @@ class TestFilters:
 
 class TestEstimate:
     def test_zero_filter_zero_estimate(self):
-        spec = est.EstimatorSpec(est.MMSE_TRUE, np.zeros((3, 3)), rho=1.0)
+        spec = est.EstimatorSpec(np.zeros((3, 3)), rho=1.0)
         assert np.allclose(spec.filter @ np.ones(3, dtype=complex), 0.0)
 
     def test_estimate_lies_in_prior_column_space(self):
@@ -81,7 +81,7 @@ class TestEstimate:
 class TestErrorCovariance:
     def test_zero_filter_returns_channel_covariance(self):
         r_mc = random_covariance(5, 11)
-        spec = est.EstimatorSpec(est.MMSE_TRUE, np.zeros((5, 5)), rho=1.0)
+        spec = est.EstimatorSpec(np.zeros((5, 5)), rho=1.0)
         assert np.allclose(est.error_covariance(spec, r_mc), r_mc.entries)
 
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0])
@@ -124,7 +124,7 @@ class TestEigenExpansion:
                 if prior is None:
                     spec = est.ls_filter(rho, m)
                 else:
-                    spec = est.mmse_filter(prior, rho, kind)
+                    spec = est.mmse_filter(prior, rho)
                 assert value == pytest.approx(est.analytic_mse(spec, r_mc), rel=1e-8)
 
     def test_zero_filter_gives_channel_power(self):
@@ -220,9 +220,7 @@ class TestColumnSpaceVerification:
 
     def test_rejects_non_hermitian_filter(self):
         # a spec without a stored spectrum is decomposed, which needs W Hermitian
-        spec = est.EstimatorSpec(
-            est.MMSE_TRUE, np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0
-        )
+        spec = est.EstimatorSpec(np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0)
         with pytest.raises(ValueError):
             est.verify_column_space(spec, np.eye(2), tol=1e-6)
 
@@ -236,7 +234,7 @@ class TestOptimality:
             rho = 10.0 ** (snr_db / 10.0)
             best = est.analytic_mse(est.mmse_filter(r_mc, rho), r_mc)
             for other in (
-                est.mmse_filter(r_hat, rho, est.MMSE_ISO),
+                est.mmse_filter(r_hat, rho),
                 est.ls_filter(rho, 8),
             ):
                 mse = est.analytic_mse(other, r_mc)

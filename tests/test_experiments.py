@@ -258,6 +258,55 @@ class TestRunSweepMonteCarlo:
         )
 
 
+class TestSharedPriors:
+    def test_isotropic_aware_mc_columns_equal_true(self, mc_result):
+        # isotropic: the coupling-aware prior is r_mc, so one filter serves both
+        for snr_db in mc_result.snr_grid_db():
+            true = mc_result.row(est.MMSE_TRUE, snr_db)
+            aware = mc_result.row(est.MMSE_COUPLING_AWARE_ISO, snr_db)
+            assert (aware.mc_mse, aware.mc_stderr) == (true.mc_mse, true.mc_stderr)
+
+    @pytest.mark.parametrize("scenario, filters", [("isotropic", 3), ("cluster", 4)])
+    def test_one_filter_per_distinct_prior(self, geom_2x2, monkeypatch, scenario, filters):
+        if scenario == "cluster":
+            scenario = default_cluster_scenario(3)
+        config = SweepConfig(
+            geometry=geom_2x2, scenario=scenario, snr_grid_db=(0.0, 10.0), mc_trials=200
+        )
+        original = experiments._mc_cell
+        passed = []
+
+        def logged(cell_filters, *args):
+            passed.append(len(cell_filters))
+            return original(cell_filters, *args)
+
+        monkeypatch.setattr(experiments, "_mc_cell", logged)
+        run_sweep(config)
+        assert len(config.estimators) == 4
+        assert passed == [filters, filters]
+
+    def test_row_order_follows_estimators(self, geom_4x4, mc_result):
+        # sweep.estimators = ls,mmse_coupling_aware_iso,mmse_true: the aware
+        # prior is grouped with mmse_true's, yet the rows keep this order
+        kinds = (est.LS, est.MMSE_COUPLING_AWARE_ISO, est.MMSE_TRUE)
+        config = SweepConfig(
+            geometry=geom_4x4,
+            snr_grid_db=(-10.0, 0.0, 10.0, 20.0),
+            estimators=kinds,
+            mc_trials=4000,
+        )
+        result = run_sweep(config)
+        grid = mc_result.snr_grid_db()
+        assert result.rows == [mc_result.row(kind, s) for kind in kinds for s in grid]
+
+
+class TestMonteCarloDeviation:
+    def test_deviation_in_standard_errors(self):
+        row = experiments.SweepRow("ls", 0.0, 2.0, 0.0, mc_mse=2.5, mc_stderr=0.25)
+        assert row.mc_deviation_se == 2.0
+        assert experiments.SweepRow("ls", 0.0, 2.0, 0.0).mc_deviation_se is None
+
+
 def _mc_cell_reference(filters, r_mc_sqrt, rho, snr_index, trials, base_seed):
     """The column-at-a-time loop: two complex_normal calls per trial."""
     m = r_mc_sqrt.shape[0]
@@ -294,9 +343,11 @@ class TestMonteCarloCell:
         )
         channel = build_channel(config)
         rho = 10.0 ** 0.5
-        filters = {
-            kind: channel.estimator(kind, rho).filter for kind in est.ESTIMATOR_KINDS
-        }
+        # keyed by prior, as run_sweep passes them: the LS filter under None
+        # takes the scalar path
+        priors = channel.priors(est.ESTIMATOR_KINDS)
+        assert None in priors
+        filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
         args = (filters, psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
         assert 4000 % experiments._MC_CHUNK % experiments._MC_BLOCK != 0
         assert experiments._mc_cell(*args) == _mc_cell_reference(*args)
@@ -361,6 +412,15 @@ class TestBuildChannel:
         config = SweepConfig(geometry=geom_4x4, snr_grid_db=(-10.0, 10.0), mc_trials=200)
         assert run_sweep(config, build_channel(config)).rows == run_sweep(config).rows
 
+    def test_numpy_integer_sizes_give_equal_rows(self):
+        def rows(m_y, m_z):
+            geometry = UpaGeometry(m_y, m_z, d_y=0.2, d_z=0.2)
+            return run_sweep(
+                SweepConfig(geometry=geometry, snr_grid_db=(0.0, 10.0), mc_trials=200)
+            ).rows
+
+        assert rows(np.int64(2), np.int64(3)) == rows(2, 3)
+
     def test_priors_per_estimator(self, geom_4x4):
         channel = build_channel(SweepConfig(geometry=geom_4x4, mc_trials=0))
         assert channel.scenario == "isotropic"
@@ -402,7 +462,8 @@ class TestBuildChannel:
         monkeypatch.undo()
         for row in result.rows:
             rho = 10.0 ** (row.snr_db / 10.0)
-            expected = oracle(channel.estimator(row.estimator, rho), channel.r_mc)
+            prior = channel.prior(row.estimator)
+            expected = oracle(channel.estimator(prior, rho), channel.r_mc)
             assert row.analytic_mse == pytest.approx(expected, rel=1e-12)
 
     def test_channel_from_other_config_rejected(self, geom_4x4, geom_4x4_quarter):

@@ -38,6 +38,15 @@ def test_positions_injective():
     assert len({tuple(p) for p in pos.round(12)}) == geom.size
 
 
+@pytest.mark.parametrize(
+    "m_y, m_z", [(2.5, 2), (True, 2), (2, 2.0)], ids=["fraction", "bool", "float"]
+)
+def test_array_sizes_must_be_integers(m_y, m_z):
+    # each was built and then failed in run_sweep with an untyped TypeError
+    with pytest.raises(ValueError, match="expected an integer m_"):
+        UpaGeometry(m_y, m_z, 0.2, 0.2)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         UpaGeometry(m_y=0, m_z=2, d_y=0.5, d_z=0.5)

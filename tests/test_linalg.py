@@ -163,7 +163,7 @@ def test_svd_falls_back_to_gesvd(build, model_4x4, r_iso_4x4, monkeypatch):
         psd_clamp,
         _require_hermitian,
         lambda a: est.verify_column_space(
-            est.EstimatorSpec(kind=est.MMSE_TRUE, filter=a, rho=1.0),
+            est.EstimatorSpec(filter=a, rho=1.0),
             np.eye(a.shape[0]),
             1e-8,
         ),
