@@ -181,7 +181,7 @@ def cmd_correlation(args, config: CliConfig) -> int:
     geometry = config.geometry()
     fmt = config.float_format()
     if args.mode == "iso":
-        entries = iso_matrix(geometry, tol=config.get("scenario", "series_tol")).entries
+        entries = iso_matrix(geometry).entries
     elif args.mode == "quadrature":
         entries = even_separation_matrix(geometry, _iso_oracle)
     else:
@@ -257,7 +257,6 @@ def cmd_subspace(args, config: CliConfig) -> int:
 
 def _validate_checks(sweep_config, channel):
     geometry = sweep_config.geometry
-    series_tol = sweep_config.series_tol
     checks = []
 
     # closed-form series against the quadrature oracle at every unique
@@ -267,7 +266,7 @@ def _validate_checks(sweep_config, channel):
     dy, dz = unsigned_offsets(geometry)
     inside = np.hypot(dy, dz) <= SERIES_RADIUS
     oracle = _iso_oracle(dy[inside], dz[inside])
-    series = iso_entry(dy[inside], dz[inside], tol=series_tol)
+    series = iso_entry(dy[inside], dz[inside])
     worst = float(np.abs(series - oracle).max())
     checks.append(("series_vs_quadrature", worst < 1e-6, f"max diff {worst:.3e}"))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-from .correlation import ClusterScenario, check_series_tol
+from .correlation import ClusterScenario
 from .experiments import CouplingConfig, SweepConfig, default_cluster_scenario, pilot_snr
 from .experiments import check_bool, check_estimators, check_mc_trials, check_seed
 from .experiments import check_snr_grid
@@ -44,7 +44,6 @@ coupling.use_full_impedance = false
 scenario.kind = isotropic
 scenario.file =
 scenario.seed =
-scenario.series_tol = 1e-12       # truncation of the isotropic series, at most 1e-6
 
 # SNR sweep (start:step:stop inclusive, at most 10000 points, or a list, in dB)
 sweep.snr_db = -10:2:24
@@ -126,7 +125,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "kind": _parse_kind,
         "file": str,
         "seed": _parse_seed,
-        "series_tol": _checked(float, check_series_tol),
     },
     "sweep": {
         "snr_db": _parse_snr_grid,
@@ -198,7 +196,6 @@ class CliConfig:
             mc_trials=self.get("sweep", "mc_trials"),
             base_seed=base_seed,
             coupling=self.coupling(),
-            series_tol=self.get("scenario", "series_tol"),
             validation_mode=self.get("sweep", "validation_mode"),
         )
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +45,6 @@ __all__ = [
     "AngularCluster",
     "ClusterScenario",
     "isotropic_scattering",
-    "DEFAULT_SERIES_TOL",
-    "MAX_SERIES_TOL",
-    "check_series_tol",
     "iso_entry",
     "iso_matrix",
     "quadrature_entry",
@@ -60,13 +57,11 @@ __all__ = [
 # before decaying and start eating the double-precision budget.
 SERIES_RADIUS = 1.5
 _SERIES_MAX_K = 60
-# Largest series truncation tolerance accepted: its truncation error must stay
-# under the 1e-6 that validate's series_vs_quadrature line allows.  Against the
-# series at 1e-15, on 16x16 arrays at 0.1, 0.2 and 0.5 wavelength spacing, the
-# error is 7e-8 at 1e-6 and 7.4e-7 at 1e-5; from 1 on the series stops after
-# its first layer and is off by 1.33.
-MAX_SERIES_TOL = 1e-6
-DEFAULT_SERIES_TOL = 1e-12
+# The series stops at the first outer layer below this.  On 16x16 arrays at
+# 0.05 to 0.5 wavelength spacing its entries lie within 4e-14 of the series run
+# to 1e-15 (1e-6 would leave 7e-8), far under the 1e-6 that validate's
+# series_vs_quadrature line allows.
+_SERIES_TOL = 1e-12
 
 _HALF_PI = math.pi / 2.0
 
@@ -138,8 +133,8 @@ def _powers(values: np.ndarray) -> np.ndarray:
     return np.array(table)[:, np.searchsorted(distinct, values)]
 
 
-def _iso_series(dy: np.ndarray, dz: np.ndarray, tol: float) -> np.ndarray:
-    """Series at 1-D arrays of offsets, each cut after its first layer below tol."""
+def _iso_series(dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Series at 1-D offset arrays, each cut after its first layer below _SERIES_TOL."""
     z_pow, y_pow = _powers(dz * dz), _powers(dy * dy)
     total = np.zeros(dy.shape)
     active = np.ones(dy.shape, dtype=bool)
@@ -148,7 +143,7 @@ def _iso_series(dy: np.ndarray, dz: np.ndarray, tol: float) -> np.ndarray:
         terms = alpha[:, None] * z_pow[k::-1, active] * y_pow[: k + 1, active]
         layer = np.add.accumulate(terms)[-1]  # summed over l in order
         total[active] += layer
-        active[active] = ~(np.abs(layer) < tol)
+        active[active] = ~(np.abs(layer) < _SERIES_TOL)
         if not active.any():
             break
     return total
@@ -178,21 +173,12 @@ def _iso_bessel(dy, dz, order: int) -> np.ndarray:
     return 0.5 * DIPOLE_DIRECTIVITY * _HALF_PI * np.reshape(dots, np.shape(dy))
 
 
-def check_series_tol(tol: float) -> float:
-    """Return ``tol``; raises ValueError unless 0 < tol <= MAX_SERIES_TOL."""
-    if not 0.0 < tol <= MAX_SERIES_TOL:
-        raise ValueError(
-            f"series tolerance must lie in (0, {MAX_SERIES_TOL:g}], got {tol!r}"
-        )
-    return tol
-
-
-def iso_entry(dy_norm, dz_norm, tol: float = DEFAULT_SERIES_TOL):
+def iso_entry(dy_norm, dz_norm):
     """Isotropic correlation for (dy, dz) element offsets in wavelengths.
 
     Scalars give a float, arrays an array.  Within SERIES_RADIUS this is the
     closed-form series, truncated at the first outer layer whose contribution
-    drops below ``tol`` (at most MAX_SERIES_TOL).  Beyond it the azimuth
+    drops below 1e-12.  Beyond it the azimuth
     integral is done in closed form (a Bessel J0) and the elevation integral
     by Gauss-Legendre, with an order that grows with the separation; a
     doubled-order pass gates the result, raising QuadratureError when the two
@@ -200,13 +186,12 @@ def iso_entry(dy_norm, dz_norm, tol: float = DEFAULT_SERIES_TOL):
     order is unchecked, raise QuadratureError before any rule is built.
     ``quadrature_entry`` stays the independent 2-D oracle for both routes.
     """
-    check_series_tol(tol)
     dy, dz = np.broadcast_arrays(np.abs(dy_norm), np.abs(dz_norm))
     _check_separation("isotropic", np.column_stack((dy.ravel(), dz.ravel())))
     separation = np.hypot(dy, dz)
     values = np.empty(separation.shape)
     near = separation <= SERIES_RADIUS
-    values[near] = _iso_series(dy[near], dz[near], tol)
+    values[near] = _iso_series(dy[near], dz[near])
     orders = np.broadcast_to(_bessel_order(separation), separation.shape)
     err = np.zeros(separation.shape)
     for order in sorted(set(orders[~near].tolist())):
@@ -224,9 +209,9 @@ def iso_entry(dy_norm, dz_norm, tol: float = DEFAULT_SERIES_TOL):
     return values if values.ndim else float(values)
 
 
-def iso_matrix(geometry: UpaGeometry, tol: float = DEFAULT_SERIES_TOL) -> CovarianceMatrix:
+def iso_matrix(geometry: UpaGeometry) -> CovarianceMatrix:
     """Isotropic spatial correlation matrix: ``iso_entry`` on the offset grid."""
-    entries = even_separation_matrix(geometry, partial(iso_entry, tol=tol))
+    entries = even_separation_matrix(geometry, iso_entry)
     fallbacks = np.count_nonzero(np.hypot(*unsigned_offsets(geometry)) > SERIES_RADIUS)
     return psd_clamp(entries, meta={"quadrature_fallback_pairs": int(fallbacks)})
 
@@ -563,10 +548,7 @@ class ClusterScenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "normalization_log": self.log_normalization,
-            "clusters": [asdict(c) for c in self.clusters],
-        }
+        return {"clusters": [asdict(c) for c in self.clusters]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterScenario":

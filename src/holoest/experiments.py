@@ -19,14 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import estimation as est
-from .correlation import (
-    DEFAULT_SERIES_TOL,
-    AngularCluster,
-    ClusterScenario,
-    check_series_tol,
-    cluster_matrix,
-    iso_matrix,
-)
+from .correlation import AngularCluster, ClusterScenario, cluster_matrix, iso_matrix
 from .coupling import DEFAULT_CONDUCTIVITY, DEFAULT_FREQUENCY
 from .coupling import CouplingModel, coupling_model, effective_correlation
 from .geometry import UpaGeometry, check_positive_finite, is_integer
@@ -101,7 +94,6 @@ class SweepConfig:
     mc_trials: int = 10_000
     base_seed: int = DEFAULT_BASE_SEED
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
-    series_tol: float = DEFAULT_SERIES_TOL
     validation_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -111,7 +103,6 @@ class SweepConfig:
         check_mc_trials(self.mc_trials)
         check_seed(self.base_seed)
         check_estimators(self.estimators)
-        check_series_tol(self.series_tol)
         check_bool(self.validation_mode)
 
 
@@ -197,7 +188,6 @@ class Channel:
     model: CouplingModel
     r_mc: CovarianceMatrix
     r_hat_aware: CovarianceMatrix
-    scenario: str
     source: tuple
 
     def prior(self, kind: str) -> CovarianceMatrix | None:
@@ -224,32 +214,27 @@ class Channel:
 
 
 def _channel_source(config: SweepConfig) -> tuple:
-    return (config.geometry, config.scenario, config.coupling, config.series_tol)
+    return (config.geometry, config.scenario, config.coupling)
 
 
 def build_channel(config: SweepConfig) -> Channel:
     """Assemble R_iso, R_base, the coupling model and the coupled correlations."""
     geometry = config.geometry
-    r_iso = iso_matrix(geometry, tol=config.series_tol)
+    r_iso = iso_matrix(geometry)
     if isinstance(config.scenario, ClusterScenario):
         r_base = cluster_matrix(geometry, config.scenario)
-        scenario_name = "cluster"
     else:
         r_base = r_iso
-        scenario_name = "isotropic"
     # CouplingConfig's fields are coupling_model's keyword arguments
     model = coupling_model(geometry, r_iso, **asdict(config.coupling))
     r_mc = effective_correlation(model, r_base)
-    r_hat_aware = (
-        r_mc if scenario_name == "isotropic" else effective_correlation(model, r_iso)
-    )
+    r_hat_aware = r_mc if r_base is r_iso else effective_correlation(model, r_iso)
     return Channel(
         r_iso=r_iso,
         r_base=r_base,
         model=model,
         r_mc=r_mc,
         r_hat_aware=r_hat_aware,
-        scenario=scenario_name,
         source=_channel_source(config),
     )
 
@@ -273,10 +258,9 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    """Sweep rows, fixed once built (``row`` indexes them on first use), and metadata."""
+    """Sweep rows, fixed once built (``row`` indexes them on first use)."""
 
     rows: list[SweepRow]
-    metadata: dict
 
     @cached_property
     def _by_key(self) -> dict[tuple[str, float], SweepRow]:
@@ -479,7 +463,7 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     and SNR, the only filters built, their Monte Carlo columns.  An analytic
     MSE without a finite NMSE raises ValueError.  ``channel`` reuses a model
     from ``build_channel``; it must have been built from the same geometry,
-    scenario, coupling and series tolerance.
+    scenario and coupling.
     """
     if channel is None:
         channel = build_channel(config)
@@ -535,24 +519,7 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
                     f"({row.estimator} at {row.snr_db} dB)"
                 )
 
-    metadata = {
-        "scenario": channel.scenario,
-        "trace_r_mc": trace_mc,
-        "trace_r_base": channel.r_base.trace(),
-        "rank_r_iso": channel.r_iso.numerical_rank(),
-        "rank_r_base": channel.r_base.numerical_rank(),
-        "rank_r_mc": r_mc.numerical_rank(),
-        "base_seed": config.base_seed,
-        "mc_trials": config.mc_trials,
-        "snr_grid_db": list(config.snr_grid_db),
-        "estimators": list(config.estimators),
-        "geometry": asdict(config.geometry),
-        "coupling": {
-            **asdict(config.coupling),
-            "r_dissipation": channel.model.r_dissipation,
-        },
-    }
-    return SweepResult(rows=rows, metadata=metadata)
+    return SweepResult(rows=rows)
 
 
 def gap_report(result: SweepResult, reference: str) -> dict[str, np.ndarray]:

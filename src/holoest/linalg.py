@@ -86,8 +86,8 @@ class CovarianceMatrix:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def numerical_rank(self, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-        return relative_rank(self.eig.values, rel_tol)
+    def numerical_rank(self) -> int:
+        return relative_rank(self.eig.values)
 
 
 def _as_square(a) -> np.ndarray:
@@ -155,12 +155,12 @@ def psd_sqrt(a) -> np.ndarray:
     return spectral_rebuild(eig.basis, np.sqrt(values))
 
 
-def relative_rank(values: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """How many of the nonincreasing ``values`` exceed rel_tol times the first
-    (0 unless it is positive): the rank rule of eigen- and singular values."""
+def relative_rank(values: np.ndarray) -> int:
+    """How many of the nonincreasing ``values`` exceed DEFAULT_RANK_TOL times the
+    first (0 unless it is positive): the rank rule of eigen- and singular values."""
     if values.size == 0 or values[0] <= 0:
         return 0
-    return int(np.count_nonzero(values > rel_tol * values[0]))
+    return int(np.count_nonzero(values > DEFAULT_RANK_TOL * values[0]))
 
 
 def principal_subspace(a) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_criterion_1_series_quadrature_equivalence():
 
 
 def test_criterion_2_zero_separation_value():
-    series = iso_entry(0.0, 0.0, tol=1e-12)
+    series = iso_entry(0.0, 0.0)
     quad = quadrature_entry(isotropic_scattering, (0.0, 0.0, 0.0)).real
     err = max(abs(series - ZERO_SEP), abs(quad - ZERO_SEP))
     report("criterion-2 zero-separation", err < 1e-9, f"max err {err:.3e}")
@@ -94,7 +94,7 @@ def _worst_expansion_diff(priors, r_mc) -> float:
     """Worst relative gap between the per-prior expansion and each filter's trace."""
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in ACCEPTANCE_SNR_DB]
     worst = 0.0
-    for kind, prior in priors:
+    for prior in priors:
         expansion = est.mse_eigen_expansion(prior, r_mc, rhos)
         for rho, value in zip(rhos, expansion):
             spec = (
@@ -111,12 +111,7 @@ def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, 
     worst = 0.0
     # the paper's four estimators on the 10x10 scenarios
     for r_mc in (r_mc_iso, r_mc_clu):
-        priors = [
-            (est.MMSE_TRUE, r_mc),
-            (est.MMSE_COUPLING_AWARE_ISO, r_mc_iso),
-            (est.MMSE_ISO, r_iso_10x10),
-            (est.LS, None),
-        ]
+        priors = [r_mc, r_mc_iso, r_iso_10x10, None]  # true, aware, iso, LS
         worst = max(worst, _worst_expansion_diff(priors, r_mc))
     # twenty seeded random covariance pairs exercise arbitrary eigenbases
     for seed in range(20):
@@ -125,7 +120,7 @@ def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, 
         factor_w = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
         r_mc = psd_clamp(factor_h @ factor_h.conj().T)
         r_hat = psd_clamp(factor_w @ factor_w.conj().T)
-        priors = [(est.MMSE_TRUE, r_mc), (est.MMSE_ISO, r_hat), (est.LS, None)]
+        priors = [r_mc, r_hat, None]
         worst = max(worst, _worst_expansion_diff(priors, r_mc))
     report("criterion-3 expansion-vs-trace", worst < 1e-8, f"max rel diff {worst:.3e}")
     assert worst < 1e-8

@@ -131,11 +131,6 @@ class TestSweepConfigValidation:
             lambda g: SweepConfig(geometry=g, snr_grid_db=(0.0, math.inf)),
             lambda g: SweepConfig(geometry=g, snr_grid_db=(0.0, 1e300)),
             lambda g: SweepConfig(geometry=g, snr_grid_db=(-1e300, 0.0)),
-            lambda g: SweepConfig(geometry=g, series_tol=math.nan),
-            lambda g: SweepConfig(geometry=g, series_tol=0.0),
-            lambda g: SweepConfig(geometry=g, series_tol=math.inf),
-            lambda g: SweepConfig(geometry=g, series_tol=1e-5),
-            lambda g: SweepConfig(geometry=g, series_tol=1e300),
         ],
     )
     def test_rejects_value_outside_domain(self, geom_4x4, build):
@@ -202,14 +197,6 @@ class TestRunSweepAnalytic:
         assert run_sweep(config, channel).rows == result.rows
         projected = [p for p in priors if p is not None]
         assert len(projected) == len({id(p) for p in projected}) == 2
-
-    def test_metadata_echoes_configuration(self, analytic_sweep, geom_4x4):
-        _, result = analytic_sweep
-        meta = result.metadata
-        assert meta["scenario"] == "isotropic"
-        assert meta["geometry"]["m_y"] == geom_4x4.m_y
-        assert meta["rank_r_iso"] <= geom_4x4.size
-        assert meta["trace_r_mc"] == pytest.approx(meta["trace_r_base"], rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +410,6 @@ class TestBuildChannel:
 
     def test_priors_per_estimator(self, geom_4x4):
         channel = build_channel(SweepConfig(geometry=geom_4x4, mc_trials=0))
-        assert channel.scenario == "isotropic"
         assert channel.r_base is channel.r_iso
         assert channel.r_hat_aware is channel.r_mc
         assert channel.prior(est.MMSE_TRUE) is channel.r_mc
@@ -435,7 +421,6 @@ class TestBuildChannel:
         scenario = default_cluster_scenario(3)
         config = SweepConfig(geometry=geom_2x2, scenario=scenario, mc_trials=0)
         channel = build_channel(config)
-        assert channel.scenario == "cluster"
         assert channel.r_hat_aware is not channel.r_mc
         aware = effective_correlation(channel.model, iso_matrix(geom_2x2))
         true = effective_correlation(channel.model, cluster_matrix(geom_2x2, scenario))
@@ -501,7 +486,6 @@ class TestClusterSweep:
             coupling=CouplingConfig(),
         )
         result = run_sweep(config)
-        assert result.metadata["scenario"] == "cluster"
         gaps = gap_report(result, est.MMSE_TRUE)
         assert np.all(gaps[est.MMSE_ISO] >= -1e-9)
         # coupling-aware prior can never beat the true one
