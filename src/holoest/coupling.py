@@ -288,6 +288,5 @@ def effective_correlation(model: CouplingModel, r: CovarianceMatrix) -> Covarian
             f"dimension mismatch: coupling is {root.shape[0]}, correlation is {r.size}"
         )
     basis, singulars = thin_svd(root @ psd_sqrt(r))
-    real = np.isrealobj(root) and np.isrealobj(r.entries)
     meta = {"factor_rank": relative_rank(singulars)}
-    return CovarianceMatrix.from_spectrum(basis, singulars**2, real, meta)
+    return CovarianceMatrix.from_spectrum(basis, singulars**2, meta)

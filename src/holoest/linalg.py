@@ -4,13 +4,14 @@ Thin wrappers over numpy.linalg with the ordering and rank conventions the
 rest of the package relies on: eigenvalues nonincreasing and a single relative
 tolerance for every numerical-rank decision.  Eigen- and singular vectors keep
 the phases LAPACK gives them: no filter, MSE, square root, rank or projector
-depends on them.  This is the only module that clamps, rebuilds or decomposes
-a PSD matrix.
+depends on them.  A ``CovarianceMatrix`` is always entries rebuilt from a
+clamped spectrum, and ``CovarianceMatrix.from_spectrum`` is the only place that
+clamps or rejects an indefinite spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,56 +46,46 @@ class Eigendecomposition:
     values: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Hermitian PSD matrix with a lazily cached eigendecomposition."""
+    """Hermitian PSD matrix and the clamped spectrum its entries were rebuilt from.
+
+    Built only by ``from_spectrum``.  Identity equality: channels key their
+    estimators by prior object.
+    """
 
     entries: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.entries = _require_hermitian(_as_square(self.entries))
-        self._eig: Eigendecomposition | None = None
+    eig: Eigendecomposition
+    meta: dict
 
     @classmethod
-    def from_spectrum(cls, basis, values, real: bool, meta=None):
-        """Rebuild from an orthonormal basis and eigenvalues, clamping roundoff.
+    def from_spectrum(cls, basis, values, meta=None):
+        """Rebuild from an orthonormal basis and nonincreasing eigenvalues.
 
-        The basis and the clamped values become the cached decomposition;
-        ``real`` drops the imaginary part of the rebuilt entries.
+        The one PSD rule of the package: values below _CLAMP_TOL * lambda_1 are
+        roundoff and become 0; a smallest value below -_CLAMP_TOL * lambda_1
+        raises.  The entries are real exactly when the basis is.
         """
         values = values.copy()
         top = max(values[0], 0.0) if values.size else 0.0
+        if values.size and values[-1] < -_CLAMP_TOL * max(top, 1e-300):
+            raise np.linalg.LinAlgError(
+                f"matrix is not PSD: min eigenvalue {values[-1]:.3e} "
+                f"below clamp tolerance"
+            )
         values[values < _CLAMP_TOL * top] = 0.0
-        entries = spectral_rebuild(basis, values)
-        if real:
-            entries = entries.real
-        out = cls(entries, meta=dict(meta or {}))
-        out._eig = Eigendecomposition(basis=basis, values=values)
-        return out
+        eig = Eigendecomposition(basis=basis, values=values)
+        return cls(spectral_rebuild(basis, values), eig, dict(meta or {}))
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def eig(self) -> Eigendecomposition:
-        if self._eig is None:
-            self._eig = hermitian_eig(self.entries)
-        return self._eig
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
     def numerical_rank(self) -> int:
         return relative_rank(self.eig.values)
-
-
-def _as_square(a) -> np.ndarray:
-    arr = np.asarray(a.entries if isinstance(a, CovarianceMatrix) else a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
-    return arr
 
 
 def _require_hermitian(a: np.ndarray) -> np.ndarray:
@@ -106,15 +97,17 @@ def _require_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(a) -> Eigendecomposition:
-    """Eigendecomposition of a Hermitian matrix, values nonincreasing.
+    """Eigendecomposition of a square Hermitian array, values nonincreasing.
 
     Each eigenvector, and inside a group of (numerically) equal eigenvalues
     the basis, is whichever one ``eigh`` returns: repeated calls on the same
     input give the same columns, and nothing downstream (filters, MSE, square
     roots, ranks, projectors) depends on the choice.
     """
-    arr = _require_hermitian(_as_square(a))
-    values, basis = np.linalg.eigh(arr)
+    arr = np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("expected a square matrix")
+    values, basis = np.linalg.eigh(_require_hermitian(arr))
     values = values[::-1].copy()
     basis = basis[:, ::-1].copy()
     return Eigendecomposition(basis=basis, values=values)
@@ -127,32 +120,15 @@ def spectral_rebuild(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def psd_clamp(a, meta: dict | None = None) -> CovarianceMatrix:
-    """Zero out eigenvalues below _CLAMP_TOL * lambda_1 and rewrap as PSD.
-
-    Accepts an ndarray or CovarianceMatrix; input must be square and
-    Hermitian within the tolerance of ``_require_hermitian``.
-    """
-    entries = _as_square(a)
-    eig = hermitian_eig(entries)
-    return CovarianceMatrix.from_spectrum(eig.basis, eig.values, np.isrealobj(entries), meta)
+    """The covariance of a square array that is Hermitian within the tolerance
+    of ``_require_hermitian`` and PSD within the rule of ``from_spectrum``."""
+    eig = hermitian_eig(a)
+    return CovarianceMatrix.from_spectrum(eig.basis, eig.values, meta)
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix.
-
-    Eigenvalues in [-_CLAMP_TOL * lambda_1, 0) are treated as roundoff and
-    clamped to zero; anything more negative raises.
-    """
-    eig = a.eig if isinstance(a, CovarianceMatrix) else hermitian_eig(a)
-    values = eig.values.copy()
-    top = max(values[0], 0.0) if values.size else 0.0
-    if values.size and values[-1] < -_CLAMP_TOL * max(top, 1e-300):
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {values[-1]:.3e} "
-            f"below clamp tolerance"
-        )
-    values[values < 0] = 0.0
-    return spectral_rebuild(eig.basis, np.sqrt(values))
+def psd_sqrt(a: CovarianceMatrix) -> np.ndarray:
+    """Unique PSD square root, rebuilt from the covariance's clamped spectrum."""
+    return spectral_rebuild(a.eig.basis, np.sqrt(a.eig.values))
 
 
 def relative_rank(values: np.ndarray) -> int:
@@ -163,14 +139,12 @@ def relative_rank(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > DEFAULT_RANK_TOL * values[0]))
 
 
-def principal_subspace(a) -> np.ndarray:
+def principal_subspace(a: CovarianceMatrix) -> np.ndarray:
     """Orthonormal basis (M x r) for the eigenvectors above the rank cutoff.
 
-    r is the numerical rank, ``relative_rank`` of the eigenvalues.  A zero
-    matrix yields an empty (M x 0) basis.
+    r is ``a.numerical_rank()``.  A zero matrix yields an empty (M x 0) basis.
     """
-    eig = a.eig if isinstance(a, CovarianceMatrix) else hermitian_eig(a)
-    return eig.basis[:, : relative_rank(eig.values)]
+    return a.eig.basis[:, : a.numerical_rank()]
 
 
 def _require_orthonormal(basis: np.ndarray) -> np.ndarray:

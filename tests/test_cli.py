@@ -532,6 +532,25 @@ class TestSweepCommand:
         assert f"({float(d_y)}, 0.0)" in lines[0]
         assert not out_dir.exists()
 
+    def test_indefinite_correlation_exits_3(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # negated off-diagonal entries make R_iso = 2I - R, far from PSD
+        original = correlation.iso_entry
+
+        def indefinite(dy, dz):
+            values = np.asarray(original(dy, dz))
+            return np.where((dy == 0) & (dz == 0), values, -values)
+
+        monkeypatch.setattr(correlation, "iso_entry", indefinite)
+        out_dir = tmp_path / "out"
+        code = main(["--config", small_cfg, "--quiet", "sweep", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error: matrix is not PSD: min eigenvalue ")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -150,8 +150,8 @@ class TestEigenExpansion:
 
 def mismatch_beta(lambda_h: float, lambda_w: float, rho: float) -> float:
     """One mode's MSE beyond its channel power lambda_h; lambda_w is the prior's."""
-    prior = CovarianceMatrix(np.array([[lambda_w]]))
-    channel = CovarianceMatrix(np.array([[lambda_h]]))
+    prior = psd_clamp(np.array([[lambda_w]]))
+    channel = psd_clamp(np.array([[lambda_h]]))
     return float(est.mse_eigen_expansion(prior, channel, [rho])[0]) - lambda_h
 
 

@@ -1,10 +1,19 @@
 """Eigen-machinery contracts: ordering, determinism, square roots, subspaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from holoest import estimation as est
-from holoest.coupling import effective_correlation
+from holoest.coupling import GeometryOverlapWarning, effective_correlation
+from holoest.experiments import (
+    CouplingConfig,
+    SweepConfig,
+    build_channel,
+    default_cluster_scenario,
+)
+from holoest.geometry import UpaGeometry
 from holoest.linalg import (
     CovarianceMatrix,
     _require_hermitian,
@@ -63,8 +72,8 @@ def test_rejects_non_hermitian():
 
 
 def test_psd_sqrt_identity_and_diag():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-    root = psd_sqrt(np.diag([4.0, 9.0]))
+    assert np.allclose(psd_sqrt(psd_clamp(np.eye(3))), np.eye(3))
+    root = psd_sqrt(psd_clamp(np.diag([4.0, 9.0])))
     assert np.allclose(root, np.diag([2.0, 3.0]))
 
 
@@ -77,26 +86,61 @@ def test_psd_sqrt_squares_back(r_iso_10x10):
 def test_psd_sqrt_commutes_with_eig():
     a = random_hermitian(8, 11, psd=True)
     eig = hermitian_eig(a)
-    direct = psd_sqrt(a)
+    direct = psd_sqrt(psd_clamp(a))
     spectral = (eig.basis * np.sqrt(eig.values)) @ eig.basis.conj().T
     assert np.abs(direct - spectral).max() < 1e-10 * eig.values[0]
 
 
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+def test_psd_clamp_rejects_indefinite():
+    with pytest.raises(np.linalg.LinAlgError, match="min eigenvalue -5.000e-01"):
+        psd_clamp(np.diag([1.0, -0.5]))
+
+
+def test_from_spectrum_clamp_boundary():
+    # -_CLAMP_TOL * lambda_1 = -1e-10 separates roundoff (zeroed) from indefinite
+    basis = np.eye(2)
+    clamped = CovarianceMatrix.from_spectrum(basis, np.array([1.0, -0.9e-10]))
+    assert np.array_equal(clamped.eig.values, [1.0, 0.0])
+    assert np.array_equal(clamped.entries, np.diag([1.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="min eigenvalue -1.100e-10"):
+        CovarianceMatrix.from_spectrum(basis, np.array([1.0, -1.1e-10]))
+
+
+def _full_impedance_cluster_4x4():
+    config = SweepConfig(
+        UpaGeometry(m_y=4, m_z=4, d_y=0.2, d_z=0.2),
+        default_cluster_scenario(3),
+        mc_trials=0,
+        coupling=CouplingConfig(use_full_impedance=True),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeometryOverlapWarning)
+        return build_channel(config)
+
+
+@pytest.mark.parametrize("channel", ["channel_iso_10x10", "channel_clu_10x10", "full_4x4"])
+def test_covariances_exactly_hermitian_and_real_with_basis(channel, request):
+    # why from_spectrum needs neither a Hermitian recheck nor a `real` flag
+    if channel == "full_4x4":
+        channel = _full_impedance_cluster_4x4()
+        assert not np.isrealobj(channel.r_mc.eig.basis)
+    else:
+        channel = request.getfixturevalue(channel)
+    for c in (channel.r_iso, channel.r_base, channel.r_mc, channel.r_hat_aware):
+        assert np.array_equal(c.entries, c.entries.conj().T)
+        assert np.isrealobj(c.entries) == np.isrealobj(c.eig.basis)
 
 
 def test_principal_subspace_full_and_rank_one():
-    assert principal_subspace(np.eye(5)).shape == (5, 5)
+    assert principal_subspace(psd_clamp(np.eye(5))).shape == (5, 5)
     v = np.array([1.0, 2.0, 2.0]) / 3.0
-    basis = principal_subspace(np.outer(v, v))
+    basis = principal_subspace(psd_clamp(np.outer(v, v)))
     assert basis.shape == (3, 1)
     assert abs(abs(np.vdot(basis[:, 0], v)) - 1.0) < 1e-12
 
 
 def test_principal_subspace_zero_matrix():
-    basis = principal_subspace(np.zeros((4, 4)))
+    basis = principal_subspace(psd_clamp(np.zeros((4, 4))))
     assert basis.shape == (4, 0)
 
 
@@ -159,7 +203,6 @@ def test_svd_falls_back_to_gesvd(build, model_4x4, r_iso_4x4, monkeypatch):
 @pytest.mark.parametrize(
     "check",
     [
-        CovarianceMatrix,
         psd_clamp,
         _require_hermitian,
         lambda a: est.verify_column_space(
@@ -168,7 +211,7 @@ def test_svd_falls_back_to_gesvd(build, model_4x4, r_iso_4x4, monkeypatch):
             1e-8,
         ),
     ],
-    ids=["CovarianceMatrix", "psd_clamp", "_require_hermitian", "verify_column_space"],
+    ids=["psd_clamp", "_require_hermitian", "verify_column_space"],
 )
 def test_every_hermitian_check_rejects_small_asymmetry(check):
     a = random_hermitian(4, 3, psd=True)
