@@ -13,6 +13,11 @@ Three construction routes:
   Gauss-Legendre grids tuned to each cluster's angular support, with the 2-D
   sum factorized: one azimuth sum per y-step, then one matmul over z-steps.
 
+Both Gauss-Legendre routes take their orders from one rule (``_gl_order``):
+the phase the integrand turns through across a panel, at the largest
+separation, plus a floor and a slack per route.  Each route checks its order
+with a doubled-order pass and accepts separations up to 100 wavelengths.
+
 Angular convention throughout: a scattering function is ``f(azimuth,
 elevation)`` on the front half-space (-pi/2, pi/2) x (-pi/2, pi/2), and the
 correlation entry for an element-pair offset ``delta_r`` (wavelength units) is
@@ -68,8 +73,6 @@ _HALF_PI = math.pi / 2.0
 # exp(-41.45) ~ 1e-18: angular regions where a cluster shape falls below this
 # contribute nothing at double precision and are excluded from its panels.
 _TAIL_LOG = 41.45
-_GL_ORDER_BASE = 16
-_GL_ORDER_REFINED = 32
 # iso_matrix and cluster_matrix raise when a Gauss-Legendre pass and its
 # doubled-order pass differ by more than this
 _QUADRATURE_ERROR_LIMIT = 1e-8
@@ -93,22 +96,55 @@ def isotropic_scattering(azimuth, elevation):
     return DIPOLE_DIRECTIVITY / (2.0 * math.pi) * np.cos(elevation) ** 4
 
 
-# Separation (wavelengths) up to which _bessel_order and the oracle's default
-# budget are checked; both raise beyond it rather than run unchecked for minutes.
+# Separation (wavelengths) up to which the Gauss-Legendre orders and the
+# oracle's default budget are checked; all raise beyond it rather than run
+# unchecked for minutes (or ask for an order past any memory).
 _MAX_SEPARATION = 100.0
 
+# Floor and slack of _gl_order, per route.  The Bessel rule's elevation
+# integrand is cos^4 times J0 and a cosine phase: this floor and slack keep its
+# doubled-order difference at roundoff (under 4e-15) for r from SERIES_RADIUS
+# to _MAX_SEPARATION.
+_BESSEL_FLOOR = 96
+_BESSEL_SLACK = 64
+# A cluster panel ends at a multiple of the spread from the peak or at the
+# shape's tail, so the shape is smooth across it: at 16 nodes the zero-offset
+# doubled-order difference is under 5e-10 (relative) for spreads of 0.05 to 60
+# degrees anywhere in the half-space, and at roundoff for 2-degree spreads.
+_PANEL_FLOOR = 16
+# Nodes beyond the phase's half-turn count, which carry the shape riding on the
+# phase.  10 is the least slack whose undoubled pass stays within 1e-10 (a
+# hundredth of the gate) of a slack-24 pass on arrays from 1x1 to 32x32 with
+# separations up to 99 wavelengths, for the default scenarios and single
+# clusters of 0.05 to 60 degrees at the centre and near the edges; 8 leaves
+# 2.7e-9 and 0 leaves 7.6e-4 (a 20-degree cluster near a corner).
+_PANEL_SLACK = 10
 
-def _bessel_order(separation):
-    # The Bessel-rule integrand has angular bandwidth 2 pi r at separation r;
-    # this floor and slack keep the doubled-order difference at roundoff
-    # (under 4e-15) for r from SERIES_RADIUS to _MAX_SEPARATION.
-    return np.maximum(96, np.ceil(2.0 * math.pi * separation).astype(int) + 64)
+
+def _gl_order(frequency, width, floor: int, slack: int):
+    """Gauss-Legendre order for an integrand whose phase turns at most
+    ``frequency`` radians per radian, on a panel ``width`` radians wide.
+
+    The phase spans frequency * width / pi half-turns across the panel; the
+    order is that count rounded up plus ``slack``, and at least ``floor``.  The
+    phase of exp(j k . dr), with k = 2 pi (direction), turns at most 2 pi |dr|
+    radians per radian of azimuth or elevation.  ``frequency`` and ``width``
+    may be arrays.
+    """
+    return np.maximum(floor, np.ceil(frequency * (width / math.pi)).astype(int) + slack)
 
 
-# Rules are of cluster orders 16 and 32 or of Bessel orders inside the gate and
-# their doubles, so no order passes 2 * 693 = 1386 (one 48x48 iso_entry asks
-# for 106).  The 947 orders that can occur hold about 9.5 MB at worst.
-@lru_cache(maxsize=2 * int(_bessel_order(_MAX_SEPARATION)))
+# Every rule is of an order _gl_order gives inside the gate on a panel at most
+# pi wide, or of its double, so no order passes the routes' largest doubled
+# order at _MAX_SEPARATION (one 48x48 iso_entry asks for 106 orders).  The
+# 1025 orders that can occur hold about 9.6 MB at worst.
+_MAX_ORDER = 2 * max(
+    int(_gl_order(2.0 * math.pi * _MAX_SEPARATION, math.pi, floor, slack))
+    for floor, slack in ((_BESSEL_FLOOR, _BESSEL_SLACK), (_PANEL_FLOOR, _PANEL_SLACK))
+)
+
+
+@lru_cache(maxsize=_MAX_ORDER)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
@@ -192,7 +228,9 @@ def iso_entry(dy_norm, dz_norm):
     values = np.empty(separation.shape)
     near = separation <= SERIES_RADIUS
     values[near] = _iso_series(dy[near], dz[near])
-    orders = np.broadcast_to(_bessel_order(separation), separation.shape)
+    # one panel: the elevation integral spans pi radians, so width / pi is 1
+    orders = _gl_order(2.0 * math.pi * separation, math.pi, _BESSEL_FLOOR, _BESSEL_SLACK)
+    orders = np.broadcast_to(orders, separation.shape)
     err = np.zeros(separation.shape)
     for order in sorted(set(orders[~near].tolist())):
         group = ~near & (orders == order)
@@ -453,37 +491,43 @@ def _axis_windows(peak: float, kappa: float, lo: float, hi: float):
 
 
 def _axis_rule(
-    peak: float, kappa: float, sigma: float, order: int, lo: float, hi: float
+    peak: float, kappa: float, sigma: float, separation: float, refinement: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights refined around the peak."""
-    gx, gw = _leggauss(order)
+    """Composite Gauss-Legendre nodes/weights on (-pi/2, pi/2), refined around
+    the peak.
+
+    Each panel's order is ``_gl_order`` for offsets up to ``separation``
+    wavelengths long across that panel's width, times ``refinement`` (1 for
+    the base pass, 2 for the doubled one).
+    """
     nodes, weights = [], []
-    for a, b, center in _axis_windows(peak, kappa, lo, hi):
+    for a, b, center in _axis_windows(peak, kappa, -_HALF_PI, _HALF_PI):
         edges = {a, b}
         for mult in (0, 1, 2, 4, 8, 16, 32, 64, 128):
             for x in (center - mult * sigma, center + mult * sigma):
                 if a < x < b:
                     edges.add(x)
         edge_list = sorted(edges)
-        for p, q in zip(edge_list[:-1], edge_list[1:]):
+        widths = np.diff(edge_list)
+        orders = refinement * _gl_order(
+            2.0 * math.pi * separation, widths, _PANEL_FLOOR, _PANEL_SLACK
+        )
+        for p, q, order in zip(edge_list[:-1], edge_list[1:], orders.tolist()):
+            gx, gw = _leggauss(order)
             mid, span = 0.5 * (p + q), 0.5 * (q - p)
             nodes.append(mid + span * gx)
             weights.append(span * gw)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _cluster_axis_data(cluster: AngularCluster, order: int):
-    """Weighted nodes for both axes of one cluster, in actual angles."""
+def _cluster_axis_data(cluster: AngularCluster, separation: float, refinement: int):
+    """Weighted nodes for both axes of one cluster, in actual angles, for
+    offsets up to ``separation`` wavelengths long (see ``_axis_rule``)."""
     u, wu = _axis_rule(
-        cluster.azimuth, cluster.kappa_phi, cluster.sigma_phi, order, -_HALF_PI, _HALF_PI
+        cluster.azimuth, cluster.kappa_phi, cluster.sigma_phi, separation, refinement
     )
     v, wv = _axis_rule(
-        cluster.elevation,
-        cluster.kappa_theta,
-        cluster.sigma_theta,
-        order,
-        -_HALF_PI,
-        _HALF_PI,
+        cluster.elevation, cluster.kappa_theta, cluster.sigma_theta, separation, refinement
     )
     shape_u = np.exp(cluster.kappa_phi * (np.cos(2.0 * (u - cluster.azimuth)) - 1.0))
     shape_v = np.cos(v) ** 4 * np.exp(
@@ -492,9 +536,10 @@ def _cluster_axis_data(cluster: AngularCluster, order: int):
     return u, wu * shape_u, v, wv * shape_v
 
 
-def _cluster_shape_integral(cluster: AngularCluster, order: int) -> float:
-    """Integral of the cluster's unit-peak shape over the front half-space."""
-    _, wu, _, wv = _cluster_axis_data(cluster, order)
+def _cluster_shape_integral(cluster: AngularCluster) -> float:
+    """Integral of the cluster's unit-peak shape over the front half-space:
+    the zero offset, on the doubled rule."""
+    _, wu, _, wv = _cluster_axis_data(cluster, 0.0, 2)
     return float(np.sum(wu) * np.sum(wv))
 
 
@@ -528,7 +573,7 @@ class ClusterScenario:
                 math.log(c.power)
                 + c.kappa_phi
                 + c.kappa_theta
-                + math.log(_cluster_shape_integral(c, _GL_ORDER_REFINED))
+                + math.log(_cluster_shape_integral(c))
                 if c.power > 0
                 else -np.inf
                 for c in clusters
@@ -585,7 +630,7 @@ def cluster_scattering(
 
 
 def _cluster_offset_table(
-    scenario: ClusterScenario, n: int, geometry: UpaGeometry, order: int
+    scenario: ClusterScenario, n: int, geometry: UpaGeometry, refinement: int
 ) -> np.ndarray:
     """Integrals of cluster n against exp(j k . dr) on the step grid.
 
@@ -599,7 +644,8 @@ def _cluster_offset_table(
     scale = scenario.cluster_scale(n)
     if scale == 0.0:
         return np.zeros((ny, 2 * nz - 1), dtype=complex)
-    u, wu, v, wv = _cluster_axis_data(scenario.clusters[n], order)
+    separation = math.hypot((ny - 1) * geometry.d_y, (nz - 1) * geometry.d_z)
+    u, wu, v, wv = _cluster_axis_data(scenario.clusters[n], separation, refinement)
     step = np.exp(2j * math.pi * geometry.d_y * np.sin(u)[:, None] * np.cos(v)[None, :])
     power = np.ones_like(step)
     azimuth_sums = np.empty((ny, v.size), dtype=complex)
@@ -619,23 +665,33 @@ def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> Covarian
     Each cluster is integrated on its own panel-refined Gauss-Legendre grid,
     sum-factorized over the two axes (``_cluster_offset_table``): the cost is
     one azimuth table per cluster, not one product-grid sum per offset.
+    Each panel's order grows with the array's largest separation and the
+    panel's width, as the Bessel rule's order grows with the separation.
     The tables cover the y-steps a >= 0; the offsets with a < 0 are mirrored
-    by conjugation.  A doubled-order pass provides the error estimate.
+    by conjugation.  A doubled-order pass provides the error estimate, and
+    QuadratureError is raised when it exceeds 1e-8, naming the worst offset.
+    Separations beyond 100 wavelengths, where the orders are unchecked, raise
+    QuadratureError before any rule is built.
     """
+    dy, dz = unsigned_offsets(geometry)
+    _check_separation("cluster", np.column_stack((dy.ravel(), dz.ravel())))
 
-    def offset_table(order: int) -> np.ndarray:
+    def offset_table(refinement: int) -> np.ndarray:
         return sum(
-            _cluster_offset_table(scenario, n, geometry, order)
+            _cluster_offset_table(scenario, n, geometry, refinement)
             for n in range(len(scenario.clusters))
         )
 
-    base = offset_table(_GL_ORDER_BASE)
-    table = offset_table(_GL_ORDER_REFINED)
-    err = float(np.abs(base - table).max())
+    base = offset_table(1)
+    table = offset_table(2)
+    diff = np.abs(base - table)
+    a, b = divmod(int(np.argmax(diff)), diff.shape[1])
+    err = float(diff[a, b])
     if err > _QUADRATURE_ERROR_LIMIT:
+        offset = (a * geometry.d_y, (b - geometry.m_z + 1) * geometry.d_z)
         raise QuadratureError(
-            f"cluster quadrature error estimate {err:.3e} exceeds "
-            f"{_QUADRATURE_ERROR_LIMIT:.3e}",
+            f"cluster quadrature error estimate {err:.3e} at offset {offset} "
+            f"exceeds {_QUADRATURE_ERROR_LIMIT:.3e}",
             estimate=err,
         )
     # conj(value(-dy, -dz)) = value(dy, dz) exactly

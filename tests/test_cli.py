@@ -374,21 +374,39 @@ class TestCorrelationCommand:
         for iso, quad in zip(values["iso"], values["quadrature"]):
             assert quad == pytest.approx(iso, abs=1e-8)
 
+    @staticmethod
+    def _far_correlation(tmp_path, capsys, mode, d_y):
+        """Run `correlation --mode <mode>` at geometry.d_y = d_y: its one stderr line."""
+        path = tmp_path / "far.cfg"
+        path.write_text(f"geometry.d_y = {d_y}\nscenario.seed = 1\n", encoding="utf-8")
+        out = tmp_path / "far.csv"
+        argv = ["--config", str(path), "--quiet", "correlation", "--mode", mode]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: ")
+        return lines[0]
+
     @pytest.mark.parametrize(
-        "mode, offset", [("quadrature", "(0.0, 100.0, 0.2)"), ("iso", "(100.0, 0.2)")]
+        "mode, offset",
+        [
+            ("quadrature", "(0.0, 100.0, 0.2)"),
+            ("iso", "(100.0, 0.2)"),
+            ("cluster", "(100.0, 0.2)"),
+        ],
     )
     def test_separation_beyond_checked_range_exits_3(self, tmp_path, capsys, mode, offset):
         # offsets reach 180 wavelengths; the quadrature oracle used to refine
         # for about 4 minutes before giving up
-        path = tmp_path / "far.cfg"
-        path.write_text("geometry.d_y = 20\n", encoding="utf-8")
-        out = tmp_path / "far.csv"
-        argv = ["--config", str(path), "--quiet", "correlation", "--mode", mode]
-        assert main([*argv, "--out", str(out)]) == 3
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical error: ")
-        assert offset in lines[0] and "checked range of 100" in lines[0]
-        assert not out.exists()
+        line = self._far_correlation(tmp_path, capsys, mode, "20")
+        assert offset in line and "checked range of 100" in line
+
+    def test_cluster_separation_of_1e300_exits_3(self, tmp_path, capsys):
+        # cluster panel orders grow with the separation: this one would ask
+        # for a Gauss-Legendre rule of over 1e300 nodes
+        line = self._far_correlation(tmp_path, capsys, "cluster", "1e300")
+        assert "cluster offset (1e+300, 0.0)" in line and "checked range of 100" in line
 
 
 _CLUSTER = {"power": 1.0, "azimuth": 0.1, "elevation": -0.2, "sigma_phi": 0.05}

@@ -1,6 +1,8 @@
 """Correlation construction: series vs quadrature oracle, clusters, clamping."""
 
 import math
+import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -87,7 +89,13 @@ class TestBesselRule:
     def test_agrees_with_series_just_inside_radius(self, dy, dz):
         separation = math.hypot(dy, dz)
         assert separation <= SERIES_RADIUS
-        rule = correlation._iso_bessel(dy, dz, correlation._bessel_order(separation))
+        order = correlation._gl_order(
+            2.0 * math.pi * separation,
+            math.pi,
+            correlation._BESSEL_FLOOR,
+            correlation._BESSEL_SLACK,
+        )
+        rule = correlation._iso_bessel(dy, dz, int(order))
         assert rule == pytest.approx(iso_entry(dy, dz), abs=1e-10)
 
     def test_order_grows_with_separation(self):
@@ -97,7 +105,8 @@ class TestBesselRule:
         assert iso_entry(14.0, 14.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_doubled_order_gate_raises(self, monkeypatch):
-        monkeypatch.setattr(correlation, "_bessel_order", lambda separation: 8)
+        rule = correlation._gl_order
+        monkeypatch.setattr(correlation, "_gl_order", lambda *args: np.minimum(rule(*args), 8))
         with pytest.raises(QuadratureError) as err:
             iso_matrix(UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6))
         assert err.value.estimate > 1e-8
@@ -451,22 +460,25 @@ class TestClusterMatrix:
         assert r.trace() == pytest.approx(geom_4x4.size, rel=1e-4)
 
     def test_entries_match_quadrature_oracle(self, geom_2x2):
-        cluster = narrow_cluster()
-        scenario = ClusterScenario.create([cluster])
-        opts = QuadratureOptions(
-            abs_tol=1e-10,
-            azimuth_points=(cluster.azimuth,),
-            elevation_points=(cluster.elevation,),
-        )
-
-        def density(az, el):
-            return _total_scattering(scenario, az, el)
-
         anisotropic_2x3 = UpaGeometry(m_y=2, m_z=3, d_y=0.25, d_z=0.4)
-        for geom, pairs in (
-            (geom_2x2, ((0, 1), (0, 3), (2, 1))),
-            (anisotropic_2x3, ((0, 1), (0, 3), (2, 1), (5, 0), (1, 5))),
+        # a 20-degree spread over offsets up to 12.7 wavelengths, where fixed
+        # orders 16 and 32 missed the doubled-order gate (3.6e-6)
+        wide_10x10 = UpaGeometry(m_y=10, m_z=10, d_y=1.0, d_z=1.0)
+        for geom, cluster, pairs in (
+            (geom_2x2, narrow_cluster(), ((0, 1), (0, 3), (2, 1))),
+            (anisotropic_2x3, narrow_cluster(), ((0, 1), (0, 3), (2, 1), (5, 0), (1, 5))),
+            (wide_10x10, narrow_cluster(20.0), ((0, 99), (55, 0), (9, 90), (0, 7))),
         ):
+            scenario = ClusterScenario.create([cluster])
+            opts = QuadratureOptions(
+                abs_tol=1e-10,
+                azimuth_points=(cluster.azimuth,),
+                elevation_points=(cluster.elevation,),
+            )
+
+            def density(az, el):
+                return _total_scattering(scenario, az, el)
+
             r = cluster_matrix(geom, scenario)
             pos = element_positions(geom)
             for n, j in pairs:
@@ -516,10 +528,9 @@ class TestClusterMatrix:
             (pos[:, None, :] - pos[None, :, :]).reshape(-1, 3), axis=0, return_inverse=True
         )
         values = np.zeros(len(offsets), dtype=complex)
+        separation = np.hypot(*np.abs(offsets[:, 1:]).T).max()
         for n, cluster in enumerate(scenario.clusters):
-            u, wu, v, wv = correlation._cluster_axis_data(
-                cluster, correlation._GL_ORDER_REFINED
-            )
+            u, wu, v, wv = correlation._cluster_axis_data(cluster, separation, 2)
             ky = np.outer(np.sin(u), np.cos(v))
             kz = np.broadcast_to(np.sin(v), ky.shape)
             weights = np.outer(wu, wv)
@@ -539,10 +550,53 @@ class TestClusterMatrix:
 
     def test_doubled_order_gate_raises(self, monkeypatch, geom_4x4):
         scenario = default_cluster_scenario(1)
-        monkeypatch.setattr(correlation, "_GL_ORDER_BASE", 4)
+        rule = correlation._gl_order
+        monkeypatch.setattr(correlation, "_gl_order", lambda *args: np.minimum(rule(*args), 4))
         with pytest.raises(QuadratureError) as err:
             cluster_matrix(geom_4x4, scenario)
         assert err.value.estimate > 1e-8
+        # the message names the offset of the worst entry, one on the lattice
+        match = re.fullmatch(
+            r"cluster quadrature error estimate (\S+) at offset \((\S+), (\S+)\) "
+            r"exceeds 1\.000e-08",
+            str(err.value),
+        )
+        assert match and float(match[1]) == pytest.approx(err.value.estimate, rel=1e-3)
+        offset = (float(match[2]), float(match[3]))
+        assert offset in {
+            (a * geom_4x4.d_y, b * geom_4x4.d_z)
+            for a in range(geom_4x4.m_y)
+            for b in range(1 - geom_4x4.m_z, geom_4x4.m_z)
+        }
+
+    @pytest.mark.parametrize(
+        "geometry, scenario",
+        [
+            # largest separations 84.9 to 87.7 wavelengths with the seed-1
+            # scenario, and a 20-degree spread at 12.7: each missed the gate
+            # (1.8e-8 to 3.6e-6) when every panel had order 16 and 32; the
+            # corner cluster is where the panel slack leaves the least margin
+            (UpaGeometry(m_y=2, m_z=2, d_y=60.0, d_z=60.0), default_cluster_scenario(1)),
+            (UpaGeometry(m_y=4, m_z=4, d_y=20.0, d_z=20.0), default_cluster_scenario(1)),
+            (UpaGeometry(m_y=16, m_z=16, d_y=4.0, d_z=4.0), default_cluster_scenario(1)),
+            (UpaGeometry(m_y=32, m_z=32, d_y=2.0, d_z=2.0), default_cluster_scenario(1)),
+            (
+                UpaGeometry(m_y=10, m_z=10, d_y=1.0, d_z=1.0),
+                ClusterScenario.create([narrow_cluster(20.0)]),
+            ),
+            (
+                UpaGeometry(m_y=10, m_z=10, d_y=0.5, d_z=0.5),
+                ClusterScenario.create(
+                    [replace(narrow_cluster(20.0), azimuth=-1.5, elevation=-1.45)]
+                ),
+            ),
+        ],
+        ids=["2x2_60", "4x4_20", "16x16_4", "32x32_2", "10x10_1_20deg", "corner_20deg"],
+    )
+    def test_orders_grow_with_separation(self, geometry, scenario):
+        # within a hundredth of the 1e-8 gate, the margin the slack is set for
+        r = cluster_matrix(geometry, scenario)
+        assert r.meta["quad_error_estimate"] <= 1e-10
 
     def test_cluster_rank_below_iso_rank(self, r_clu_10x10, r_iso_10x10):
         assert r_clu_10x10.numerical_rank() < r_iso_10x10.numerical_rank()
