@@ -17,6 +17,8 @@ Both Gauss-Legendre routes take their orders from one rule (``_gl_order``):
 the phase the integrand turns through across a panel, at the largest
 separation, plus a floor and a slack per route.  Each route checks its order
 with a doubled-order pass and accepts separations up to 100 wavelengths.
+Every route's error estimates, the oracle's included, pass one gate
+(``_gate``): the worst must be at most the route's bound, and a NaN fails.
 
 Angular convention throughout: a scattering function is ``f(azimuth,
 elevation)`` on the front half-space (-pi/2, pi/2) x (-pi/2, pi/2), and the
@@ -73,8 +75,8 @@ _HALF_PI = math.pi / 2.0
 # exp(-41.45) ~ 1e-18: angular regions where a cluster shape falls below this
 # contribute nothing at double precision and are excluded from its panels.
 _TAIL_LOG = 41.45
-# iso_matrix and cluster_matrix raise when a Gauss-Legendre pass and its
-# doubled-order pass differ by more than this
+# the gate's bound on the difference of a Gauss-Legendre pass and its
+# doubled-order pass, for the Bessel rule and the cluster panels
 _QUADRATURE_ERROR_LIMIT = 1e-8
 
 
@@ -147,6 +149,25 @@ _MAX_ORDER = 2 * max(
 @lru_cache(maxsize=_MAX_ORDER)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
+
+
+def _gate(label: str, estimates, offsets: np.ndarray, bound: float) -> float:
+    """The accuracy gate of every quadrature route: the largest of
+    ``estimates``, one per row of ``offsets``.
+
+    Raises QuadratureError naming that estimate's offset unless it is at most
+    ``bound``, so a NaN estimate (argmax takes the first) fails.
+    """
+    estimates = np.ravel(estimates)
+    i = int(np.argmax(estimates))
+    worst = float(estimates[i])
+    if not worst <= bound:
+        raise QuadratureError(
+            f"{label} error estimate {worst:.3e} at offset "
+            f"{tuple(offsets[i].tolist())} exceeds {bound:.3e}",
+            estimate=worst,
+        )
+    return worst
 
 
 def _check_separation(label: str, offsets: np.ndarray) -> None:
@@ -223,7 +244,8 @@ def iso_entry(dy_norm, dz_norm):
     ``quadrature_entry`` stays the independent 2-D oracle for both routes.
     """
     dy, dz = np.broadcast_arrays(np.abs(dy_norm), np.abs(dz_norm))
-    _check_separation("isotropic", np.column_stack((dy.ravel(), dz.ravel())))
+    offsets = np.column_stack((dy.ravel(), dz.ravel()))
+    _check_separation("isotropic", offsets)
     separation = np.hypot(dy, dz)
     values = np.empty(separation.shape)
     near = separation <= SERIES_RADIUS
@@ -237,13 +259,7 @@ def iso_entry(dy_norm, dz_norm):
         base = _iso_bessel(dy[group], dz[group], order)
         values[group] = _iso_bessel(dy[group], dz[group], 2 * order)
         err[group] = np.abs(base - values[group])
-    i = int(np.argmax(err))
-    if err.flat[i] > _QUADRATURE_ERROR_LIMIT:
-        raise QuadratureError(
-            f"isotropic Bessel-rule error estimate {err.flat[i]:.3e} at offset "
-            f"({dy.flat[i]}, {dz.flat[i]}) exceeds {_QUADRATURE_ERROR_LIMIT:.3e}",
-            estimate=float(err.flat[i]),
-        )
+    _gate("isotropic Bessel-rule", err, offsets, _QUADRATURE_ERROR_LIMIT)
     return values if values.ndim else float(values)
 
 
@@ -419,15 +435,7 @@ def quadrature_entry(
             error += err
     re, im = np.split(value, 2)
     err_re, err_im = np.split(error, 2)
-    estimate = err_re + err_im
-    worst = int(np.argmax(estimate))  # the first NaN, if any
-    if not estimate[worst] <= 10.0 * opts.abs_tol:
-        raise QuadratureError(
-            f"quadrature error estimate {estimate[worst]:.3e} at offset "
-            f"{tuple(stack[worst].tolist())} exceeds 10x target "
-            f"{opts.abs_tol:.3e}",
-            estimate=float(estimate[worst]),
-        )
+    _gate("quadrature", err_re + err_im, stack, 10.0 * opts.abs_tol)
     entries = re + 1j * im
     return complex(entries[0]) if offsets.ndim == 1 else entries
 
@@ -684,16 +692,14 @@ def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> Covarian
 
     base = offset_table(1)
     table = offset_table(2)
-    diff = np.abs(base - table)
-    a, b = divmod(int(np.argmax(diff)), diff.shape[1])
-    err = float(diff[a, b])
-    if err > _QUADRATURE_ERROR_LIMIT:
-        offset = (a * geometry.d_y, (b - geometry.m_z + 1) * geometry.d_z)
-        raise QuadratureError(
-            f"cluster quadrature error estimate {err:.3e} at offset {offset} "
-            f"exceeds {_QUADRATURE_ERROR_LIMIT:.3e}",
-            estimate=err,
-        )
+    # the table's offsets, in its row-major order
+    steps = np.meshgrid(
+        np.arange(geometry.m_y) * geometry.d_y,
+        np.arange(1 - geometry.m_z, geometry.m_z) * geometry.d_z,
+        indexing="ij",
+    )
+    offsets = np.column_stack([step.ravel() for step in steps])
+    err = _gate("cluster quadrature", np.abs(base - table), offsets, _QUADRATURE_ERROR_LIMIT)
     # conj(value(-dy, -dz)) = value(dy, dz) exactly
     grid = np.concatenate((table[:0:-1, ::-1].conj(), table))
     entries = separation_fill(geometry, grid)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import check_positive_finite
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    CovarianceMatrix,
-    hermitian_eig,
-    spectral_rebuild,
-    subspace_contained,
-)
+from .linalg import CovarianceMatrix, relative_rank, spectral_rebuild, subspace_contained
 
 __all__ = [
     "MMSE_TRUE",
@@ -50,25 +44,16 @@ ESTIMATOR_KINDS = (MMSE_TRUE, MMSE_COUPLING_AWARE_ISO, MMSE_ISO, LS)
 class EstimatorSpec:
     """A filter matrix W and the pilot SNR it assumes.
 
-    ``mmse_filter`` also stores the eigenbasis and per-mode gains, which the
-    column-space analysis reads instead of re-factorizing W.
+    ``mmse_filter`` also stores the prior's eigenbasis and the per-mode gains,
+    nonincreasing, from which ``verify_column_space`` reads W's column space.
+    A spec without them (LS, or one built by hand) has no column space to
+    check.
     """
 
     filter: np.ndarray
     rho: float
     basis: np.ndarray | None = None
     gains: np.ndarray | None = None
-
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Square eigenbasis and per-mode gains of W.
-
-        The stored pair when the filter was built spectrally; otherwise W is
-        decomposed here, which raises for a non-Hermitian W.
-        """
-        if self.basis is not None and self.gains is not None:
-            return self.basis, self.gains
-        eig = hermitian_eig(self.filter)
-        return eig.basis, eig.values
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -128,8 +113,8 @@ def mse_eigen_expansion(
     SNR.  ``prior=None`` is least squares, M / rho.
     """
     rhos = np.asarray(rhos, dtype=float)
-    if not np.all(rhos > 0):
-        raise ValueError("pilot SNR must be positive")
+    for rho in rhos.tolist():
+        check_positive_finite(rho, "pilot SNR")
     # M / rho or rho lam_i may overflow to inf (so s_i = g_i = 0); callers check
     with np.errstate(over="ignore"):
         if prior is None:
@@ -147,15 +132,19 @@ def verify_column_space(
     """Check the filter's column space sits inside span(basis), for an orthonormal
     ``basis`` (``subspace_contained`` rejects any other) of the expected space.
 
-    Also pushes a batch of random observations through the filter and checks
-    the estimates land in the same space.  Returns (ok, worst residual).
+    W's column space is the stored eigenbasis cut at ``relative_rank`` of the
+    stored gains; a spec without them raises ValueError.  Also pushes a batch
+    of random observations through the filter and checks the estimates land in
+    the same space.  Returns (ok, worst residual).
     """
     basis = np.asarray(basis)
     if basis.shape[0] != spec.filter.shape[0]:
         raise ValueError("basis row count must match the filter")
-    basis_w, gains = spec.spectrum()
-    magnitudes = np.abs(gains)
-    basis_w = basis_w[:, magnitudes > DEFAULT_RANK_TOL * magnitudes.max(initial=0.0)]
+    if spec.basis is None or spec.gains is None:
+        raise ValueError("the filter has no stored spectrum to read its column space from")
+    # copied contiguous: subspace_contained's products on the strided slice
+    # sum in another order and move residuals at roundoff
+    basis_w = np.ascontiguousarray(spec.basis[:, : relative_rank(spec.gains)])
     _, residual = subspace_contained(basis_w, basis, tol)
     rng = np.random.default_rng(0)
     batch = spec.filter @ complex_normal(rng, 16 * spec.filter.shape[0]).reshape(

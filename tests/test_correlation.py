@@ -107,9 +107,31 @@ class TestBesselRule:
     def test_doubled_order_gate_raises(self, monkeypatch):
         rule = correlation._gl_order
         monkeypatch.setattr(correlation, "_gl_order", lambda *args: np.minimum(rule(*args), 8))
+        geom = UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6)
         with pytest.raises(QuadratureError) as err:
-            iso_matrix(UpaGeometry(m_y=4, m_z=4, d_y=0.6, d_z=0.6))
+            iso_matrix(geom)
         assert err.value.estimate > 1e-8
+        # the message names the offset of the worst entry, one on the lattice
+        match = re.fullmatch(
+            r"isotropic Bessel-rule error estimate (\S+) at offset \((\S+), (\S+)\) "
+            r"exceeds 1\.000e-08",
+            str(err.value),
+        )
+        assert match and float(match[1]) == pytest.approx(err.value.estimate, rel=1e-3)
+        dy, dz = unsigned_offsets(geom)
+        assert (float(match[2]), float(match[3])) in set(zip(dy.ravel(), dz.ravel()))
+
+    def test_nan_estimate_fails_the_gate(self, monkeypatch):
+        # |NaN - NaN| is NaN, which must not pass as a small error estimate
+        monkeypatch.setattr(
+            correlation, "_iso_bessel", lambda dy, dz, order: np.full(np.shape(dy), np.nan)
+        )
+        with pytest.raises(
+            QuadratureError,
+            match=r"^isotropic Bessel-rule error estimate nan at offset \(3\.0, 0\.0\) ",
+        ) as err:
+            iso_entry([0.2, 3.0], 0.0)
+        assert math.isnan(err.value.estimate)
 
     def test_rules_are_built_once_per_order(self):
         # ~190 orders, more than the 64 rules the cache used to hold: every
@@ -181,7 +203,14 @@ class TestQuadratureEntry:
 
         with pytest.raises(QuadratureError) as err:
             quadrature_entry(hostile, (0.0, 0.0, 0.0), QuadratureOptions(limit=10))
-        assert err.value.estimate > 0
+        assert err.value.estimate > 1e-8
+        # the bound is ten times abs_tol, and the message names the offset
+        match = re.fullmatch(
+            r"quadrature error estimate (\S+) at offset \(0\.0, 0\.0, 0\.0\) "
+            r"exceeds 1\.000e-08",
+            str(err.value),
+        )
+        assert match and float(match[1]) == pytest.approx(err.value.estimate, rel=1e-3)
 
 
 def scipy_cubature_entries(f, offsets, opts, az_edges, el_edges):
@@ -568,6 +597,25 @@ class TestClusterMatrix:
             for a in range(geom_4x4.m_y)
             for b in range(1 - geom_4x4.m_z, geom_4x4.m_z)
         }
+
+    def test_nan_in_doubled_pass_fails_the_gate(self, monkeypatch, geom_4x4):
+        # without the gate a NaN table reaches the eigensolver, which fails
+        # later and names no offset
+        table = correlation._cluster_offset_table
+
+        def broken(scenario, n, geometry, refinement):
+            values = table(scenario, n, geometry, refinement)
+            if refinement == 2:
+                values[1, 0] = np.nan
+            return values
+
+        monkeypatch.setattr(correlation, "_cluster_offset_table", broken)
+        offset = (geom_4x4.d_y, (1 - geom_4x4.m_z) * geom_4x4.d_z)
+        with pytest.raises(
+            QuadratureError,
+            match=rf"^cluster quadrature error estimate nan at offset {re.escape(str(offset))} ",
+        ):
+            cluster_matrix(geom_4x4, default_cluster_scenario(1))
 
     @pytest.mark.parametrize(
         "geometry, scenario",

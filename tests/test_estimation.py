@@ -144,8 +144,9 @@ class TestEigenExpansion:
         with pytest.raises(ValueError):
             est.mse_eigen_expansion(random_covariance(2, 24), r_mc, [1.0])
         for prior in (None, r_mc):
-            with pytest.raises(ValueError):
-                est.mse_eigen_expansion(prior, r_mc, [1.0, 0.0])
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="positive finite pilot SNR"):
+                    est.mse_eigen_expansion(prior, r_mc, [1.0, bad])
 
 
 def mismatch_beta(lambda_h: float, lambda_w: float, rho: float) -> float:
@@ -214,11 +215,14 @@ class TestColumnSpaceVerification:
         with pytest.raises(ValueError):
             est.verify_column_space(spec, np.eye(4), tol=1e-6)
 
-    def test_rejects_non_hermitian_filter(self):
-        # a spec without a stored spectrum is decomposed, which needs W Hermitian
-        spec = est.EstimatorSpec(np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0)
-        with pytest.raises(ValueError):
-            est.verify_column_space(spec, np.eye(2), tol=1e-6)
+    def test_rejects_spec_without_stored_spectrum(self):
+        # the column space is read from the stored spectrum, never from W
+        for spec in (
+            est.ls_filter(1.0, 2),
+            est.EstimatorSpec(np.eye(2), rho=1.0, basis=np.eye(2)),
+        ):
+            with pytest.raises(ValueError, match="no stored spectrum"):
+                est.verify_column_space(spec, np.eye(2), tol=1e-6)
 
 
 class TestOptimality:
