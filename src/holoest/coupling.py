@@ -7,7 +7,9 @@ both).  The collinear closed form diverges logarithmically when the element
 ranges overlap end-to-end; that regime is regularized by falling back to the
 echelon form evaluated at a lateral offset of one wire radius, which is the
 same device the induced-EMF self impedance uses.  Every closed form takes
-scalars or arrays of offsets.
+scalars or arrays of offsets, and takes the Si/Ci offsets hypot(d, x) +- x
+without cancellation (``_offset_pair``), so they keep their digits however
+small d is.
 """
 
 from __future__ import annotations
@@ -89,12 +91,23 @@ def self_impedance(dipole_length, dipole_radius):
     return resistance + 1j * reactance
 
 
+def _offset_pair(d, x):
+    """(hypot(d, x) + x, hypot(d, x) - x) for d > 0, without cancellation.
+
+    The two multiply to d^2, so the smaller is d^2 over the larger, which is
+    a sum of nonnegative terms; subtracting would lose the smaller's digits
+    (all of them once d^2 is below the rounding error of x).
+    """
+    larger = np.hypot(d, x) + np.abs(x)
+    smaller = d * (d / larger)
+    return np.where(x >= 0, larger, smaller), np.where(x >= 0, smaller, larger)
+
+
 def mutual_impedance_side_by_side(d, length: float = DEFAULT_DIPOLE_LENGTH):
     """Mutual impedance of parallel dipoles at the same height, spacing d."""
     if np.any(d <= 0):
         raise ValueError("side-by-side spacing must be positive")
-    diag = np.hypot(d, length)
-    u = _TWO_PI * np.stack((d, diag + length, diag - length))
+    u = _TWO_PI * np.stack((d, *_offset_pair(d, length)))
     ci0, ci1, ci2 = cos_integral(u)
     si0, si1, si2 = sin_integral(u)
     scale = ETA0 / (4.0 * math.pi)
@@ -110,11 +123,8 @@ def mutual_impedance_echelon(d, h, length: float = DEFAULT_DIPOLE_LENGTH):
     h = np.abs(h)
     k = _TWO_PI
     beta = k * h
-    r0 = np.hypot(d, h)
-    rm = np.hypot(d, h - length)
-    rp = np.hypot(d, h + length)
     w = k * np.stack(
-        (r0 + h, r0 - h, rm + (h - length), rm - (h - length), rp + (h + length), rp - (h + length))
+        (*_offset_pair(d, h), *_offset_pair(d, h - length), *_offset_pair(d, h + length))
     )
     ci1, ci1p, ci2, ci2p, ci3, ci3p = cos_integral(w)
     si1, si1p, si2, si2p, si3, si3p = sin_integral(w)

@@ -591,6 +591,22 @@ class TestSweepCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("m_z, d_y", [(10, "1e-10"), (40, "1e-7")])
+    def test_tiny_wire_geometry_exits_0(self, tmp_path, capsys, m_z, d_y):
+        # a 1e-12 radius admits d_y down to its diameter: the closed forms'
+        # offsets hypot(d_y, L) - L are then far below the rounding error of
+        # L, and taken by subtraction they rounded to a zero Ci argument
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            f"geometry.m_y = 2\ngeometry.m_z = {m_z}\ngeometry.dipole_radius = 1e-12\n"
+            f"geometry.d_y = {d_y}\nsweep.mc_trials = 0\n"
+        )
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
+        assert code == 0, capsys.readouterr().err
+        rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(row.split(",")[2])) for row in rows)
+
     def test_sweeps_validate_and_quadrature_never_load_scipy(self, tmp_path):
         # importing scipy.special or scipy.integrate costs ~0.3 s, about half
         # the start-up of a short run; only sqrtm under use_full_impedance and

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from holoest.coupling import (
     self_impedance,
 )
 from holoest.correlation import iso_matrix
-from holoest.coupling import CouplingModel
+from holoest.coupling import CouplingModel, _offset_pair
 from holoest.geometry import UpaGeometry
 from holoest.linalg import orthonormal_column_basis, psd_clamp, psd_sqrt, subspace_contained
 
@@ -71,6 +72,28 @@ class TestSelfImpedance:
             self_impedance(0.5, 0.06)
         with pytest.raises(ValueError):
             self_impedance(0.5, np.array([0.002, 0.06]))
+
+
+class TestOffsetPair:
+    def test_matches_50_digit_decimal(self):
+        # hypot is within one ulp and each +, / and * rounds once (eps / 2):
+        # the larger of the pair is within 1.5 eps and the smaller, d * (d /
+        # larger), within 2.5 eps, so 4 eps bounds both, however small d is
+        ctx = Context(prec=50)
+        d = np.logspace(-12.0, 1.0, 40)[:, None]
+        x = np.array([-10.0, -0.5, -0.2, -1e-6, 0.0, 1e-13, 1e-6, 0.2, 0.5, 3.0, 10.0])
+        plus, minus = _offset_pair(d, x)
+        bound = Decimal(4.0 * np.finfo(float).eps)
+        for (i, j), value in np.ndenumerate(plus):
+            dd, xx = Decimal(float(d[i, 0])), Decimal(float(x[j]))
+            r = ctx.sqrt(ctx.add(ctx.multiply(dd, dd), ctx.multiply(xx, xx)))
+            for got, exact in ((value, ctx.add(r, xx)), (minus[i, j], ctx.subtract(r, xx))):
+                assert abs(Decimal(float(got)) - exact) <= bound * exact
+
+    def test_closed_forms_finite_at_tiny_offsets(self):
+        # hypot(d, L) - L rounds to 0 once d^2 / 2L is below eps * L / 2
+        assert np.isfinite(mutual_impedance_side_by_side(1e-10))
+        assert np.isfinite(mutual_impedance_echelon(1e-10, np.array([0.2, 0.5, 1.0]))).all()
 
 
 class TestSideBySide:
