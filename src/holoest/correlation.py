@@ -152,12 +152,9 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gate(label: str, estimates, offsets: np.ndarray, bound: float) -> float:
-    """The accuracy gate of every quadrature route: the largest of
-    ``estimates``, one per row of ``offsets``.
-
-    Raises QuadratureError naming that estimate's offset unless it is at most
-    ``bound``, so a NaN estimate (argmax takes the first) fails.
-    """
+    """The accuracy gate of every quadrature route: the largest of ``estimates``
+    (one per row of ``offsets``).  Raises QuadratureError naming its offset
+    unless it is at most ``bound``, so a NaN estimate (argmax takes it) fails."""
     estimates = np.ravel(estimates)
     i = int(np.argmax(estimates))
     worst = float(estimates[i])
@@ -692,13 +689,8 @@ def cluster_matrix(geometry: UpaGeometry, scenario: ClusterScenario) -> Covarian
 
     base = offset_table(1)
     table = offset_table(2)
-    # the table's offsets, in its row-major order
-    steps = np.meshgrid(
-        np.arange(geometry.m_y) * geometry.d_y,
-        np.arange(1 - geometry.m_z, geometry.m_z) * geometry.d_z,
-        indexing="ij",
-    )
-    offsets = np.column_stack([step.ravel() for step in steps])
+    a, b = (steps.ravel() for steps in np.indices(table.shape))
+    offsets = np.column_stack((a * geometry.d_y, (b + 1 - geometry.m_z) * geometry.d_z))
     err = _gate("cluster quadrature", np.abs(base - table), offsets, _QUADRATURE_ERROR_LIMIT)
     # conj(value(-dy, -dz)) = value(dy, dz) exactly
     grid = np.concatenate((table[:0:-1, ::-1].conj(), table))

@@ -7,9 +7,8 @@ both).  The collinear closed form diverges logarithmically when the element
 ranges overlap end-to-end; that regime is regularized by falling back to the
 echelon form evaluated at a lateral offset of one wire radius, which is the
 same device the induced-EMF self impedance uses.  Every closed form takes
-scalars or arrays of offsets, and takes the Si/Ci offsets hypot(d, x) +- x
-without cancellation (``_offset_pair``), so they keep their digits however
-small d is.
+scalars or arrays of offsets, and its Si/Ci offsets hypot(d, x) +- x without
+cancellation (``_offset_pair``), so they keep their digits however small d is.
 """
 
 from __future__ import annotations
@@ -92,12 +91,8 @@ def self_impedance(dipole_length, dipole_radius):
 
 
 def _offset_pair(d, x):
-    """(hypot(d, x) + x, hypot(d, x) - x) for d > 0, without cancellation.
-
-    The two multiply to d^2, so the smaller is d^2 over the larger, which is
-    a sum of nonnegative terms; subtracting would lose the smaller's digits
-    (all of them once d^2 is below the rounding error of x).
-    """
+    """(hypot(d, x) + x, hypot(d, x) - x) for d > 0 without cancellation: the two
+    multiply to d^2, so the smaller is d^2 over the larger, a sum."""
     larger = np.hypot(d, x) + np.abs(x)
     smaller = d * (d / larger)
     return np.where(x >= 0, larger, smaller), np.where(x >= 0, smaller, larger)

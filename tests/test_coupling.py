@@ -90,11 +90,6 @@ class TestOffsetPair:
             for got, exact in ((value, ctx.add(r, xx)), (minus[i, j], ctx.subtract(r, xx))):
                 assert abs(Decimal(float(got)) - exact) <= bound * exact
 
-    def test_closed_forms_finite_at_tiny_offsets(self):
-        # hypot(d, L) - L rounds to 0 once d^2 / 2L is below eps * L / 2
-        assert np.isfinite(mutual_impedance_side_by_side(1e-10))
-        assert np.isfinite(mutual_impedance_echelon(1e-10, np.array([0.2, 0.5, 1.0]))).all()
-
 
 class TestSideBySide:
     def test_half_wavelength_spacing_reference(self):
