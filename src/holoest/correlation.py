@@ -138,8 +138,8 @@ def _gl_order(frequency, width, floor: int, slack: int):
 
 # Every rule is of an order _gl_order gives inside the gate on a panel at most
 # pi wide, or of its double, so no order passes the routes' largest doubled
-# order at _MAX_SEPARATION (one 48x48 iso_entry asks for 106 orders).  The
-# 1025 orders that can occur hold about 9.6 MB at worst.
+# order at _MAX_SEPARATION.  The 1025 orders that can occur hold about 9.6 MB
+# at worst; an iso_entry call asks for two and a cluster matrix a few dozen.
 _MAX_ORDER = 2 * max(
     int(_gl_order(2.0 * math.pi * _MAX_SEPARATION, math.pi, floor, slack))
     for floor, slack in ((_BESSEL_FLOOR, _BESSEL_SLACK), (_PANEL_FLOOR, _PANEL_SLACK))
@@ -232,30 +232,30 @@ def iso_entry(dy_norm, dz_norm):
 
     Scalars give a float, arrays an array.  Within SERIES_RADIUS this is the
     closed-form series, truncated at the first outer layer whose contribution
-    drops below 1e-12.  Beyond it the azimuth
-    integral is done in closed form (a Bessel J0) and the elevation integral
-    by Gauss-Legendre, with an order that grows with the separation; a
-    doubled-order pass gates the result, raising QuadratureError when the two
-    differ by more than 1e-8.  Separations beyond 100 wavelengths, where that
-    order is unchecked, raise QuadratureError before any rule is built.
-    ``quadrature_entry`` stays the independent 2-D oracle for both routes.
+    drops below 1e-12.  Beyond it the azimuth integral is done in closed form
+    (a Bessel J0) and the elevation integral by one Gauss-Legendre rule per
+    call, of the order ``_gl_order`` gives at the call's largest separation,
+    as cluster panels are sized at the array's; a doubled-order pass raises
+    QuadratureError if the two differ by more than 1e-8.  So a far entry
+    depends at roundoff on the largest offset of its call; ``iso_matrix``
+    makes one call per geometry.  Separations beyond 100 wavelengths raise
+    QuadratureError before any rule is built.
     """
     dy, dz = np.broadcast_arrays(np.abs(dy_norm), np.abs(dz_norm))
     offsets = np.column_stack((dy.ravel(), dz.ravel()))
     _check_separation("isotropic", offsets)
     separation = np.hypot(dy, dz)
     values = np.empty(separation.shape)
-    near = separation <= SERIES_RADIUS
-    values[near] = _iso_series(dy[near], dz[near])
-    # one panel: the elevation integral spans pi radians, so width / pi is 1
-    orders = _gl_order(2.0 * math.pi * separation, math.pi, _BESSEL_FLOOR, _BESSEL_SLACK)
-    orders = np.broadcast_to(orders, separation.shape)
+    far = separation > SERIES_RADIUS
+    values[~far] = _iso_series(dy[~far], dz[~far])
     err = np.zeros(separation.shape)
-    for order in sorted(set(orders[~near].tolist())):
-        group = ~near & (orders == order)
-        base = _iso_bessel(dy[group], dz[group], order)
-        values[group] = _iso_bessel(dy[group], dz[group], 2 * order)
-        err[group] = np.abs(base - values[group])
+    if far.any():
+        # one panel: the elevation integral spans pi radians, so width / pi is 1
+        largest = 2.0 * math.pi * separation[far].max()
+        order = int(_gl_order(largest, math.pi, _BESSEL_FLOOR, _BESSEL_SLACK))
+        base = _iso_bessel(dy[far], dz[far], order)
+        values[far] = _iso_bessel(dy[far], dz[far], 2 * order)
+        err[far] = np.abs(base - values[far])
     _gate("isotropic Bessel-rule", err, offsets, _QUADRATURE_ERROR_LIMIT)
     return values if values.ndim else float(values)
 

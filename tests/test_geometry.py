@@ -110,7 +110,10 @@ def _iso_entries_before_clamp(geom, monkeypatch):
 )
 def test_entries_follow_element_separation(build, pair, monkeypatch):
     # non-square, with d_y != d_z, so a swapped axis or transposed layout
-    # shows; the grid evaluators must reproduce the scalar calls exactly
+    # shows; the grid evaluators must reproduce the scalar calls exactly.
+    # The Bessel rule sizes its order at a call's largest separation, so a
+    # scalar iso_entry call matches the grid's only because every offset
+    # here (at most 1.9 wavelengths) takes the floor order
     geom = UpaGeometry(m_y=3, m_z=5, d_y=0.3, d_z=0.45)
     matrix = build(geom, monkeypatch)
     pos = element_positions(geom)
