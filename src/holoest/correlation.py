@@ -156,6 +156,8 @@ def _gate(label: str, estimates, offsets: np.ndarray, bound: float) -> float:
     (one per row of ``offsets``).  Raises QuadratureError naming its offset
     unless it is at most ``bound``, so a NaN estimate (argmax takes it) fails."""
     estimates = np.ravel(estimates)
+    if not estimates.size:
+        return 0.0
     i = int(np.argmax(estimates))
     worst = float(estimates[i])
     if not worst <= bound:
@@ -239,7 +241,7 @@ def iso_entry(dy_norm, dz_norm):
     QuadratureError if the two differ by more than 1e-8.  So a far entry
     depends at roundoff on the largest offset of its call; ``iso_matrix``
     makes one call per geometry.  Separations beyond 100 wavelengths raise
-    QuadratureError before any rule is built.
+    QuadratureError before any rule is built.  No offsets give an empty array.
     """
     dy, dz = np.broadcast_arrays(np.abs(dy_norm), np.abs(dz_norm))
     offsets = np.column_stack((dy.ravel(), dz.ravel()))
@@ -404,8 +406,10 @@ def quadrature_entry(
     opts = opts or QuadratureOptions()
     offsets = np.asarray(delta_r, dtype=float)
     stack = np.atleast_2d(offsets)
-    if stack.ndim != 2 or stack.shape[1] != 3:
-        raise ValueError(f"offsets must have shape (3,) or (n, 3), got {offsets.shape}")
+    if stack.ndim != 2 or stack.shape[1] != 3 or not len(stack):
+        raise ValueError(
+            f"offsets must have shape (3,) or (n, 3) with n > 0, got {offsets.shape}"
+        )
     _check_separation("quadrature", stack)
     wave = 2.0 * math.pi * stack
 

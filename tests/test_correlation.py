@@ -145,6 +145,9 @@ class TestBesselRule:
         assert correlation._leggauss.cache_info().misses == 2
         assert np.array_equal(first, second)
 
+    def test_no_offsets_give_an_empty_array(self):
+        assert iso_entry([], []).shape == (0,)
+
 
 class TestQuadratureEntry:
     def test_zero_offset_gives_total_power(self):
@@ -179,6 +182,10 @@ class TestQuadratureEntry:
         for delta in [(0.0, 0.2), np.zeros((2, 2)), np.zeros((1, 1, 3))]:
             with pytest.raises(ValueError):
                 quadrature_entry(isotropic_scattering, delta)
+
+    def test_rejects_an_empty_stack_naming_its_shape(self):
+        with pytest.raises(ValueError, match=r"got \(0, 3\)"):
+            quadrature_entry(isotropic_scattering, np.empty((0, 3)))
 
     def test_breakpoints_leave_smooth_integral_unchanged(self):
         offsets = [(0.0, 0.0, 0.0), (0.0, 0.7, 0.3)]
