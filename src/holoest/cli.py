@@ -52,12 +52,10 @@ def _info(args, message: str) -> None:
 
 
 def _write_matrix_csv(path: Path, entries: np.ndarray, fmt: str) -> None:
+    line = f"%d,%d,{fmt},{fmt}"
     lines = ["n,m,re,im"]
-    m = entries.shape[0]
-    for n in range(m):
-        for j in range(m):
-            value = complex(entries[n, j])
-            lines.append(f"{n},{j},{fmt % value.real},{fmt % value.imag}")
+    for n, (re, im) in enumerate(zip(entries.real.tolist(), entries.imag.tolist())):
+        lines.extend(line % (n, j, a, b) for j, (a, b) in enumerate(zip(re, im)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -70,7 +68,7 @@ def _write_sweep_csv(path: Path, result, fmt: str) -> None:
             ",".join(
                 [
                     row.estimator,
-                    "%.6g" % row.snr_db,
+                    fmt % row.snr_db,
                     fmt % row.analytic_mse,
                     fmt % row.analytic_nmse_db,
                     mc_mse,

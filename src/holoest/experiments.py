@@ -56,8 +56,7 @@ _MAX_SCATTER_DIST_M = 300.0
 _DEFAULT_CLUSTER_COUNT = 20
 _DEFAULT_SIGMA_DEG = 2.0
 
-_MC_CHUNK = 2048
-_MC_BLOCK = 256
+_MC_BLOCK = 512
 _MAX_TRIALS = 1 << 32  # trial indices are single uint32 words
 
 # numpy's SeedSequence hash and mix constants (NEP 19, after O'Neill's
@@ -398,37 +397,36 @@ def _mc_cell(
     Trial t draws its 4M standard normals from the stream of ``_trial_rng(
     base_seed, snr_index, t)`` in one call, in the order iid real, iid
     imaginary, noise real, noise imaginary: the stream two
-    ``complex_normal(rng, M)`` calls consume.  Trials are drawn ``_MC_BLOCK``
-    at a time into one block buffer, their generator keys computed for the
-    whole block by ``_trial_rngs``; ``_trial_rng`` is the oracle those keys
-    are tested against.  Squared errors are summed per ``_MC_CHUNK``; all
-    M x chunk arrays live in a few buffers reused across chunks and
-    filters.  The least-squares filter (key None) is d I, so its estimate is
-    y times d, which equals the product with d I bit for bit.
+    ``complex_normal(rng, M)`` calls consume.  Trials run ``_MC_BLOCK`` at a
+    time: the block's generator keys are computed at once by
+    ``_trial_rngs`` (``_trial_rng`` is the oracle those keys are tested
+    against), its draws go into one block buffer, and its products and
+    squared-error sums run on M x block arrays that live in a few buffers
+    reused across blocks and filters.  The least-squares filter (key None)
+    is d I, so its estimate is y times d, which equals the product with d I
+    bit for bit.
     """
     m = r_mc_sqrt.shape[0]
     sums = dict.fromkeys(filters, 0.0)
     sq_sums = dict.fromkeys(filters, 0.0)
     sqrt_rho = math.sqrt(rho)
-    width = min(_MC_CHUNK, trials)
-    draws = np.empty((_MC_BLOCK, 4 * m))
-    # flat buffers, so a short last chunk is still a C-contiguous (m, count)
+    width = min(_MC_BLOCK, trials)
+    draws = np.empty((width, 4 * m))
+    # flat buffers, so a short last block is still a C-contiguous (m, count)
     # array and every product and reduction sees the same layout
     flat = [np.empty(m * width, dtype=complex) for _ in range(3)]
     flat_sq = np.empty(m * width)
-    for start in range(0, trials, _MC_CHUNK):
-        count = min(_MC_CHUNK, trials - start)
+    for start in range(0, trials, _MC_BLOCK):
+        count = min(_MC_BLOCK, trials - start)
         work, noise, h = (buf[: m * count].reshape(m, count) for buf in flat)
         sq_err = flat_sq[: m * count].reshape(m, count)
-        for lo in range(0, count, _MC_BLOCK):
-            n = min(_MC_BLOCK, count - lo)
-            for j, rng in enumerate(_trial_rngs(base_seed, snr_index, start + lo, n)):
-                rng.standard_normal(out=draws[j])
-            block = draws[:n].T
-            work.real[:, lo : lo + n] = block[:m]
-            work.imag[:, lo : lo + n] = block[m : 2 * m]
-            noise.real[:, lo : lo + n] = block[2 * m : 3 * m]
-            noise.imag[:, lo : lo + n] = block[3 * m :]
+        for j, rng in enumerate(_trial_rngs(base_seed, snr_index, start, count)):
+            rng.standard_normal(out=draws[j])
+        block = draws[:count].T
+        work.real[:] = block[:m]
+        work.imag[:] = block[m : 2 * m]
+        noise.real[:] = block[2 * m : 3 * m]
+        noise.imag[:] = block[3 * m :]
         # (re + 1j*im) / sqrt(2) bit for bit; ``work`` holds the iid draws,
         # then sqrt(rho) h, then each estimator's error
         work /= np.sqrt(2.0)

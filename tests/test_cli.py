@@ -298,6 +298,20 @@ class TestCorrelationCommand:
         assert (n, m, im) == ("0", "0", "0")
         assert float(re) == pytest.approx(1.67 * 3 * math.pi / 16, abs=1e-12)
 
+    def test_matrix_lines_equal_per_entry_formatting(self, tmp_path):
+        entries = np.array(
+            [[1.5 - 0.0j, -0.0 + 2.0j], [complex(1 / 3, -1e-300), complex(-7e22, 0.1)]]
+        )
+        for matrix, fmt in [(entries, "%.17g"), (entries, "%.4g"), (entries.real, "%.17g")]:
+            lines = ["n,m,re,im"]
+            for n in range(2):
+                for j in range(2):
+                    value = complex(matrix[n, j])
+                    lines.append(f"{n},{j},{fmt % value.real},{fmt % value.imag}")
+            out = tmp_path / "m.csv"
+            cli._write_matrix_csv(out, matrix, fmt)
+            assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
     def test_deterministic_output(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["--config", small_cfg, "--quiet", "correlation", "--out", str(out1)]) == 0
@@ -488,6 +502,21 @@ class TestSweepCommand:
             rho = 10.0 ** (float(fields[1]) / 10.0)
             assert float(fields[2]) == pytest.approx(4.0 / rho, rel=1e-12)
             assert fields[4] != ""  # Monte Carlo columns populated
+
+    def test_snr_labels_parse_back_to_grid_points(self, tmp_path):
+        # points closer than six significant digits used to print as one label
+        path = tmp_path / "fine.cfg"
+        path.write_text(
+            "geometry.m_y = 2\ngeometry.m_z = 1\nsweep.mc_trials = 0\n"
+            "sweep.snr_db = 10:0.00001:10.00003\nsweep.estimators = ls\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)]) == 0
+        lines = (out_dir / "sweep.csv").read_text().strip().splitlines()[1:]
+        grid = load_config(str(path)).get("sweep", "snr_db")
+        assert len(grid) == 4
+        assert [float(line.split(",")[1]) for line in lines] == list(grid)
 
     def test_validation_mode_failure_exits_4(self, tmp_path, biased_mc_cell, capsys):
         path = tmp_path / "strict.cfg"

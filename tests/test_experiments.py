@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,8 +300,8 @@ def _mc_cell_reference(filters, r_mc_sqrt, rho, snr_index, trials, base_seed):
     m = r_mc_sqrt.shape[0]
     sums = {kind: 0.0 for kind in filters}
     sq_sums = {kind: 0.0 for kind in filters}
-    for start in range(0, trials, experiments._MC_CHUNK):
-        count = min(experiments._MC_CHUNK, trials - start)
+    for start in range(0, trials, experiments._MC_BLOCK):
+        count = min(experiments._MC_BLOCK, trials - start)
         iid = np.empty((m, count), dtype=complex)
         noise = np.empty((m, count), dtype=complex)
         for j in range(count):
@@ -322,7 +323,7 @@ def _mc_cell_reference(filters, r_mc_sqrt, rho, snr_index, trials, base_seed):
 
 
 class TestMonteCarloCell:
-    # 4000 trials cross the 2048-trial chunk boundary and end in a partial block
+    # 4000 trials cross block boundaries and end in a partial block
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2)], ids=["M1", "M6"])
     def test_bitwise_equal_to_per_column_reference(self, shape):
         config = SweepConfig(
@@ -336,8 +337,32 @@ class TestMonteCarloCell:
         assert None in priors
         filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
         args = (filters, psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
-        assert 4000 % experiments._MC_CHUNK % experiments._MC_BLOCK != 0
+        assert 4000 % experiments._MC_BLOCK != 0
         assert experiments._mc_cell(*args) == _mc_cell_reference(*args)
+
+    def test_peak_memory_is_one_block(self):
+        config = SweepConfig(geometry=UpaGeometry(10, 10, d_y=0.2, d_z=0.2), mc_trials=0)
+        channel = build_channel(config)
+        rho = 10.0
+        priors = channel.priors(est.ESTIMATOR_KINDS)
+        filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
+        r_mc_sqrt = psd_sqrt(channel.r_mc)
+        m, block = r_mc_sqrt.shape[0], experiments._MC_BLOCK
+        complex_size, real_size = 16, 8
+        # live for the whole cell: three complex and one real M x block
+        # buffers and the block x 4M draws
+        buffers = (3 * complex_size + real_size + 4 * real_size) * m * block
+        # transient, at most all at once: the two per-column sums of a block,
+        # the complex copy matmul makes of a real M x M operand, and each
+        # trial's key words (under 150 bytes of arrays) and their Python ints
+        transient = 2 * real_size * block + complex_size * m * m + 512 * block
+        tracemalloc.start()
+        try:
+            experiments._mc_cell(filters, r_mc_sqrt, rho, 0, 3000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + transient
 
 
 class TestTrialKeys:
@@ -349,8 +374,8 @@ class TestTrialKeys:
 
     # 1 to 5 entropy words; under 4 they are zero-padded to the pool size
     BASE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1, experiments.DEFAULT_BASE_SEED]
-    # block edge 255/256, chunk edge 2047/2048, last single-word trial index
-    TRIALS = [0, 255, 256, 2047, 2048, 2**32 - 1]
+    # edges of the first and fourth 512-trial blocks, last single-word trial index
+    TRIALS = [0, 511, 512, 2047, 2048, 2**32 - 1]
 
     @pytest.mark.parametrize("snr_index", [0, 17, 2**32])
     @pytest.mark.parametrize("base_seed", BASE_SEEDS)
@@ -366,7 +391,7 @@ class TestTrialKeys:
     @pytest.mark.parametrize("base_seed", BASE_SEEDS)
     def test_draws_match_trial_rng(self, base_seed, snr_index):
         m = 100
-        for first, count in [(0, 1), (254, 4), (2046, 4), (2**32 - 3, 3)]:
+        for first, count in [(0, 1), (510, 4), (2046, 4), (2**32 - 3, 3)]:
             # the last range ends at the last single-word trial index
             rngs = experiments._trial_rngs(base_seed, snr_index, first, count)
             for trial, rng in zip(range(first, first + count), rngs, strict=True):
