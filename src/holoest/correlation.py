@@ -11,7 +11,9 @@ Three construction routes:
   everything else,
 * a clustered non-isotropic model integrated per cluster on panel-refined
   Gauss-Legendre grids tuned to each cluster's angular support, with the 2-D
-  sum factorized: one azimuth sum per y-step, then one matmul over z-steps.
+  sum factorized: the azimuth sum, a function of a y-step times cos v, is
+  interpolated from exact samples at Chebyshev points, then one matmul covers
+  the z-steps.
 
 Both Gauss-Legendre routes take their orders from one rule (``_gl_order``):
 the phase the integrand turns through across a panel, at the largest
@@ -638,6 +640,76 @@ def cluster_scattering(
     return value
 
 
+# The azimuth sum's Chebyshev interpolant is held within this of the sum,
+# relative to the sum of its weights: the unit roundoff.
+_CHEBYSHEV_TOL = 2.0**-53
+
+
+def _chebyshev_tail(tau: float, degree: int) -> float:
+    """Bound, relative to sum |w|, on how far the degree-``degree`` Chebyshev
+    interpolant of sum w exp(j omega t), |omega| <= tau, strays from it on
+    [-1, 1]; valid for degree + 2 >= tau.
+
+    exp(j omega t) = J_0(omega) + 2 sum_k j^k J_k(omega) T_k(t) (Jacobi-Anger)
+    and |J_k(omega)| <= (tau/2)^k / k! (DLMF 10.14.4), so the sum's k-th
+    Chebyshev coefficient is at most 2 (tau/2)^k / k! sum |w|.  The interpolant
+    at the K + 1 Chebyshev points errs by at most twice the coefficients it
+    drops (Trefethen, ATAP, ch. 4): 4 sum_{k>K} (tau/2)^k / k!.  Once K + 2 >=
+    tau each term of that tail is at most half the one before, so the tail is
+    at most twice its first term.
+    """
+    if tau == 0.0:
+        return 0.0
+    return 8.0 * math.exp((degree + 1) * math.log(0.5 * tau) - math.lgamma(degree + 2))
+
+
+def _chebyshev_degree(tau: float) -> int:
+    """Least degree K >= 1 whose ``_chebyshev_tail`` is at most _CHEBYSHEV_TOL."""
+    degree = 1
+    while degree + 2 < tau or _chebyshev_tail(tau, degree) > _CHEBYSHEV_TOL:
+        degree += 1
+    return degree
+
+
+def _azimuth_interpolant(alpha: np.ndarray, weights: np.ndarray, length: float):
+    """F(x) = sum_u w_u exp(j alpha_u x) on [0, length], from K + 1 exact samples.
+
+    The phases are demodulated around their centre c, F(x) = exp(j c x) G(x),
+    so G's frequencies lie within s, half the spread of alpha.  On [0, length]
+    mapped to [-1, 1], G is a sum of exp(j omega t) with |omega| <= tau =
+    s length / 2, and is sampled at the Chebyshev points of the degree
+    ``_chebyshev_degree`` gives at tau.  The returned function evaluates G by
+    the barycentric formula for those points (weights (-1)^k, halved at both
+    ends; Berrut & Trefethen, SIAM Review 46, 2004) and re-modulates.  At a
+    node, where the formula divides by zero, it returns the node's sample.
+    A call on n points holds n x (K + 1) values.
+    """
+    lo, hi = alpha.min(), alpha.max()
+    centre = 0.5 * (hi + lo)
+    half = 0.5 * length
+    degree = _chebyshev_degree(0.5 * (hi - lo) * half)
+    nodes = half + half * np.cos(np.arange(degree + 1) * (math.pi / degree))
+    samples = weights @ np.exp(1j * np.multiply.outer(alpha - centre, nodes))
+    bary = np.ones(degree + 1)
+    bary[1::2] = -1.0
+    bary[[0, -1]] *= 0.5
+    # numerators and denominator in one real product
+    columns = np.column_stack((samples.real, samples.imag, np.ones(degree + 1)))
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        terms = np.subtract.outer(x, nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            re, im, den = (np.divide(bary, terms, out=terms) @ columns).T
+            value = (re + 1j * im) / den
+        on_node = ~np.isfinite(value)
+        if on_node.any():
+            nearest = np.abs(np.subtract.outer(x[on_node], nodes)).argmin(axis=1)
+            value[on_node] = samples[nearest]
+        return value * np.exp(1j * centre * x)
+
+    return evaluate
+
+
 def _cluster_offset_table(
     scenario: ClusterScenario, n: int, geometry: UpaGeometry, refinement: int
 ) -> np.ndarray:
@@ -645,8 +717,10 @@ def _cluster_offset_table(
 
     Entry [a, b + Mz - 1] is the integral for the offset (a d_y, b d_z), for
     y-steps a = 0..My-1 and every signed z-step b.  The phase factorizes as
-    z^a exp(j 2 pi b d_z sin v) with z = exp(j 2 pi d_y sin u cos v), so the
-    azimuth sum runs once per y-step on powers of z (one exp per node), and a
+    exp(j alpha_u a cos v) exp(j 2 pi b d_z sin v) with alpha_u = 2 pi d_y
+    sin u, so the azimuth sum F(x) = sum_u w_u exp(j alpha_u x) is needed at
+    x = a cos v only: it is interpolated from a few exact samples
+    (``_azimuth_interpolant``) and evaluated one y-step at a time, and a
     single matmul against the elevation phases covers every z-step.
     """
     ny, nz = geometry.m_y, geometry.m_z
@@ -655,12 +729,11 @@ def _cluster_offset_table(
         return np.zeros((ny, 2 * nz - 1), dtype=complex)
     separation = math.hypot((ny - 1) * geometry.d_y, (nz - 1) * geometry.d_z)
     u, wu, v, wv = _cluster_axis_data(scenario.clusters[n], separation, refinement)
-    step = np.exp(2j * math.pi * geometry.d_y * np.sin(u)[:, None] * np.cos(v)[None, :])
-    power = np.ones_like(step)
-    azimuth_sums = np.empty((ny, v.size), dtype=complex)
-    for a in range(ny):
-        azimuth_sums[a] = wu @ power
-        power *= step
+    cos_v = np.cos(v)
+    azimuth_sum = _azimuth_interpolant(
+        2.0 * math.pi * geometry.d_y * np.sin(u), wu, (ny - 1) * cos_v.max()
+    )
+    azimuth_sums = np.array([azimuth_sum(a * cos_v) for a in range(ny)])
     steps_z = np.arange(1 - nz, nz)
     elevation_phase = np.exp(
         2j * math.pi * geometry.d_z * np.sin(v)[:, None] * steps_z[None, :]

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from holoest import correlation
 from holoest.correlation import (
@@ -395,6 +395,87 @@ def _total_scattering(scenario: ClusterScenario, azimuth, elevation):
     )
 
 
+EPS = np.finfo(float).eps
+
+
+def recurrence_table(
+    scenario: ClusterScenario, n: int, geometry: UpaGeometry, refinement: int
+) -> np.ndarray:
+    """``_cluster_offset_table`` with the azimuth sum by its power recurrence:
+    on the full u x v node grid, exp(j 2 pi d_y sin u cos v) is raised to each
+    y-step by repeated multiplication, with no interpolation."""
+    ny, nz = geometry.m_y, geometry.m_z
+    scale = scenario.cluster_scale(n)
+    if scale == 0.0:
+        return np.zeros((ny, 2 * nz - 1), dtype=complex)
+    separation = math.hypot((ny - 1) * geometry.d_y, (nz - 1) * geometry.d_z)
+    u, wu, v, wv = correlation._cluster_axis_data(scenario.clusters[n], separation, refinement)
+    step = np.exp(2j * math.pi * geometry.d_y * np.sin(u)[:, None] * np.cos(v)[None, :])
+    power = np.ones_like(step)
+    azimuth_sums = np.empty((ny, v.size), dtype=complex)
+    for a in range(ny):
+        azimuth_sums[a] = wu @ power
+        power *= step
+    steps_z = np.arange(1 - nz, nz)
+    elevation_phase = np.exp(
+        2j * math.pi * geometry.d_z * np.sin(v)[:, None] * steps_z[None, :]
+    )
+    return scale * ((azimuth_sums * wv) @ elevation_phase)
+
+
+def interpolation_rounding(terms: int, degree: int, phase: float) -> float:
+    """Bound, relative to sum |w|, on the roundoff of one interpolated azimuth
+    sum of ``terms`` nodes at ``degree``, whose phases alpha x are at most
+    ``phase`` in size.
+
+    alpha, its centre, the demodulated beta and the sample points x_k take up
+    to 11 roundings relative to phase between them (the points' own through
+    the slope |G'| <= s sum |w|), exp 2 and the sum of ``terms`` products
+    ``terms``: each sample errs by (11 phase + 2 + terms) eps sum |w|.  The
+    interpolant passes that on times the Lebesgue constant, at most
+    (2/pi) log(K + 1) + 1 for Chebyshev points (Trefethen, ATAP, ch. 15),
+    and the barycentric formula itself adds at most (6K + 6) eps times the
+    Lebesgue constant and sum |w| (Higham, IMA J. Numer. Anal. 24, 2004).
+    The target a cos v (2 roundings, through slopes s and c), the
+    re-modulating phase c x (7), its exp (2) and the product (3) add
+    11 phase + 5.
+    """
+    lebesgue = 2.0 / math.pi * math.log(degree + 1) + 1.0
+    samples = 11.0 * phase + 2.0 + terms
+    return EPS * (lebesgue * (samples + 6.0 * degree + 6.0) + 11.0 * phase + 5.0)
+
+
+def table_tolerance(
+    scenario: ClusterScenario, n: int, geometry: UpaGeometry, refinement: int
+) -> float:
+    """Bound on how far ``_cluster_offset_table`` strays from
+    ``recurrence_table`` at any entry.
+
+    Both tables are scale * sum_v w_v S[a, v] exp(j 2 pi b d_z sin v), on the
+    same nodes and elevation phases, with S[a, v] = F(a cos v) and F(x) =
+    sum_u w_u exp(j alpha_u x), alpha_u = 2 pi d_y sin u; the weights are
+    positive, so |F| <= sum w_u, and every phase alpha x is at most P =
+    2 pi d_y (My - 1).  The interpolated S is within _CHEBYSHEV_TOL plus
+    ``interpolation_rounding`` of F, relative to sum w_u.  The recurrence's
+    step phase takes 6 roundings relative to it, its exp 2 and each of the a
+    products 3, and the sum over u n_u: (6 P + 5 (My - 1) + n_u) eps.  The
+    elevation sums of n_v terms and the scale add (n_v + 2) eps on each side.
+    All of it is relative to Z = scale sum w_u sum w_v.
+    """
+    ny = geometry.m_y
+    separation = math.hypot((ny - 1) * geometry.d_y, (geometry.m_z - 1) * geometry.d_z)
+    u, wu, v, wv = correlation._cluster_axis_data(scenario.clusters[n], separation, refinement)
+    alpha = 2.0 * math.pi * geometry.d_y * np.sin(u)
+    tau = 0.25 * (alpha.max() - alpha.min()) * (ny - 1) * np.cos(v).max()
+    degree = correlation._chebyshev_degree(tau)
+    phase = 2.0 * math.pi * geometry.d_y * (ny - 1)
+    interpolated = correlation._CHEBYSHEV_TOL + interpolation_rounding(u.size, degree, phase)
+    recurrence = EPS * (6.0 * phase + 5.0 * (ny - 1) + u.size)
+    elevation = 2.0 * EPS * (v.size + 2.0)
+    z = scenario.cluster_scale(n) * np.sum(wu) * np.sum(wv)
+    return z * (interpolated + recurrence + elevation)
+
+
 def narrow_cluster(sigma_deg: float = 2.0, power: float = 1.0) -> AngularCluster:
     return AngularCluster(
         power=power,
@@ -679,3 +760,106 @@ class TestClusterMatrix:
             principal_subspace(r_clu_10x10), principal_subspace(r_iso_10x10), 1e-6
         )
         assert ok
+
+
+EDGE_CLUSTER = AngularCluster(
+    power=1.0,
+    azimuth=1.5,
+    elevation=-0.2,
+    sigma_phi=math.radians(2.0),
+    sigma_theta=math.radians(2.0),
+)
+
+
+def _square(m: int, spacing: float) -> UpaGeometry:
+    return UpaGeometry(m_y=m, m_z=m, d_y=spacing, d_z=spacing)
+
+
+class TestAzimuthInterpolant:
+    @pytest.mark.parametrize(
+        "geometry, scenario",
+        [
+            (_square(10, 0.2), default_cluster_scenario(1)),
+            (_square(10, 0.2), default_cluster_scenario(5)),
+            (_square(20, 0.2), default_cluster_scenario(1)),
+            (_square(20, 0.2), default_cluster_scenario(5)),
+            (_square(32, 0.2), default_cluster_scenario(1)),
+            (_square(32, 2.0), default_cluster_scenario(1)),
+            (UpaGeometry(m_y=1, m_z=8, d_y=0.2, d_z=0.2), default_cluster_scenario(1)),
+            (UpaGeometry(m_y=8, m_z=1, d_y=0.2, d_z=0.2), default_cluster_scenario(1)),
+            (
+                UpaGeometry(m_y=6, m_z=4, d_y=0.3, d_z=0.3),
+                ClusterScenario.create([EDGE_CLUSTER]),
+            ),
+            (_square(10, 0.5), ClusterScenario.create([narrow_cluster(0.05)])),
+            (_square(10, 0.5), ClusterScenario.create([narrow_cluster(60.0)])),
+            (UpaGeometry(m_y=7, m_z=3, d_y=14.0, d_z=0.2), default_cluster_scenario(1)),
+        ],
+        ids=[
+            "10x10_seed1",
+            "10x10_seed5",
+            "20x20_seed1",
+            "20x20_seed5",
+            "32x32_0.2",
+            "32x32_2",
+            "1x8",
+            "8x1",
+            "edge_azimuth_image_window",
+            "spread_0.05deg",
+            "spread_60deg",
+            "d_y_14",
+        ],
+    )
+    def test_tables_match_the_power_recurrence(self, geometry, scenario):
+        for refinement in (1, 2):
+            for n in range(len(scenario.clusters)):
+                table = correlation._cluster_offset_table(scenario, n, geometry, refinement)
+                reference = recurrence_table(scenario, n, geometry, refinement)
+                bound = table_tolerance(scenario, n, geometry, refinement)
+                assert np.abs(table - reference).max() <= bound, (refinement, n)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.6, 10.0, 100.0, 314.0])
+    def test_degree_is_the_least_that_bounds_the_bessel_tail(self, tau):
+        degree = correlation._chebyshev_degree(tau)
+        tail = correlation._chebyshev_tail(tau, degree)
+        assert degree + 2 >= tau and tail <= correlation._CHEBYSHEV_TOL
+        assert (
+            degree == 1
+            or degree + 1 < tau
+            or correlation._chebyshev_tail(tau, degree - 1) > correlation._CHEBYSHEV_TOL
+        )
+        # the tail the bound stands for: twice the dropped coefficients of
+        # exp(j tau t), 2 |J_k(tau)| each
+        dropped = np.arange(degree + 1, degree + 400)
+        assert 4.0 * np.sum(np.abs(special.jv(dropped, tau))) <= tail
+
+    @pytest.mark.parametrize(
+        "geometry, cluster",
+        [
+            (_square(10, 0.2), narrow_cluster()),
+            (_square(32, 2.0), narrow_cluster(60.0)),
+            (UpaGeometry(m_y=6, m_z=4, d_y=0.3, d_z=0.3), EDGE_CLUSTER),
+        ],
+        ids=["10x10_2deg", "32x32_2_60deg", "edge_azimuth_image_window"],
+    )
+    def test_interpolant_matches_the_sum_at_random_points(self, geometry, cluster):
+        # at the degree the order rule picks, within _CHEBYSHEV_TOL plus the
+        # roundoff of the interpolant and of the direct sum: alpha x takes 5
+        # roundings, exp 2 and the sum of n_u products n_u
+        separation = math.hypot(
+            (geometry.m_y - 1) * geometry.d_y, (geometry.m_z - 1) * geometry.d_z
+        )
+        u, wu, v, _ = correlation._cluster_axis_data(cluster, separation, 2)
+        alpha = 2.0 * math.pi * geometry.d_y * np.sin(u)
+        length = (geometry.m_y - 1) * np.cos(v).max()
+        evaluate = correlation._azimuth_interpolant(alpha, wu, length)
+        # both ends are sample points
+        x = np.concatenate(([0.0, length], np.random.default_rng(7).uniform(0, length, 200)))
+        exact = np.exp(1j * np.multiply.outer(x, alpha)) @ wu
+        tau = 0.25 * (alpha.max() - alpha.min()) * length
+        degree = correlation._chebyshev_degree(tau)
+        phase = 2.0 * math.pi * geometry.d_y * (geometry.m_y - 1)
+        rounding = interpolation_rounding(u.size, degree, phase)
+        direct = EPS * (5.0 * phase + 2.0 + u.size)
+        bound = np.sum(wu) * (correlation._CHEBYSHEV_TOL + rounding + direct)
+        assert np.abs(evaluate(x) - exact).max() <= bound

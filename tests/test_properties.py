@@ -29,16 +29,19 @@ from holoest.experiments import SweepConfig, build_channel, default_cluster_scen
 from holoest.geometry import UpaGeometry, element_positions, unsigned_offsets
 from holoest.linalg import _CLAMP_TOL
 from holoest.special import DIPOLE_DIRECTIVITY
+from test_correlation import recurrence_table, table_tolerance
 
 EPS = np.finfo(float).eps
 
-# 6 examples per property.  The module takes about 3.1 s alone on 2 vCPUs;
-# 1.5 s of it is the first property, which builds most of the Gauss-Legendre
+# 6 examples per property.  The module takes about 3 s alone on 2 vCPUs;
+# 1 s of it is the first property, which builds most of the Gauss-Legendre
 # rules the others reuse (a call builds two, which take 0.4 s together at 100
-# wavelengths), and the three properties after the gate ones take 0.9 s.
+# wavelengths), and the table property, whose reference sums the full node
+# grid per y-step, 0.75 s.
 # Unseeded scans left every residual under 0.13 of its bound (60 examples per
-# gate property), the per-offset agreement under 0.003 (60) and the trace
-# under 0.04 (300); no estimator fell below the true prior's MSE (300).
+# gate property), the per-offset agreement under 0.003 (60), the tables under
+# 0.008 (60) and the trace under 0.04 (300); no estimator fell below the true
+# prior's MSE (300).
 PROFILE = settings(
     derandomize=True,
     max_examples=6,
@@ -130,6 +133,20 @@ def test_cluster_matrix_passes_the_gate_and_is_centro_hermitian(geometry, seed):
     p = reversal(geometry, True, True)
     residual = np.abs(r.entries[np.ix_(p, p)] - r.entries.conj()).max()
     assert residual <= roundoff_bound(r)
+
+
+@PROFILE
+@given(geometries(), st.integers(0, 2**32 - 1))
+def test_cluster_tables_match_the_power_recurrence(geometry, seed):
+    # the interpolated azimuth sums against the full-grid power recurrence,
+    # within the order rule's tolerance plus both routes' roundoff
+    scenario = default_cluster_scenario(seed)
+    for refinement in (1, 2):
+        for n in range(len(scenario.clusters)):
+            table = correlation._cluster_offset_table(scenario, n, geometry, refinement)
+            reference = recurrence_table(scenario, n, geometry, refinement)
+            bound = table_tolerance(scenario, n, geometry, refinement)
+            assert np.abs(table - reference).max() <= bound, (refinement, n)
 
 
 def _bessel_rule_rounding(order: int, separation: float) -> float:
