@@ -401,25 +401,28 @@ def _mc_cell(
     time: the block's generator keys are computed at once by
     ``_trial_rngs`` (``_trial_rng`` is the oracle those keys are tested
     against), its draws go into one block buffer, and its products and
-    squared-error sums run on M x block arrays that live in a few buffers
-    reused across blocks and filters.  The least-squares filter (key None)
-    is d I, so its estimate is y times d, which equals the product with d I
-    bit for bit.
+    squared-error sums run on M x block arrays reused across blocks and
+    filters.  Once a block's draws are staged into ``work`` and ``noise``,
+    the draw buffer's storage holds h in its first half and the squared
+    errors in its second, so a block lives in the draws and two complex
+    M x block buffers.  The least-squares filter (key None) is d I, so its
+    estimate is y times d, which equals the product with d I bit for bit.
     """
     m = r_mc_sqrt.shape[0]
     sums = dict.fromkeys(filters, 0.0)
     sq_sums = dict.fromkeys(filters, 0.0)
     sqrt_rho = math.sqrt(rho)
     width = min(_MC_BLOCK, trials)
-    draws = np.empty((width, 4 * m))
+    flat_draws = np.empty(4 * m * width)
+    draws = flat_draws.reshape(width, 4 * m)
     # flat buffers, so a short last block is still a C-contiguous (m, count)
     # array and every product and reduction sees the same layout
-    flat = [np.empty(m * width, dtype=complex) for _ in range(3)]
-    flat_sq = np.empty(m * width)
+    flat = [np.empty(m * width, dtype=complex) for _ in range(2)]
     for start in range(0, trials, _MC_BLOCK):
         count = min(_MC_BLOCK, trials - start)
-        work, noise, h = (buf[: m * count].reshape(m, count) for buf in flat)
-        sq_err = flat_sq[: m * count].reshape(m, count)
+        work, noise = (buf[: m * count].reshape(m, count) for buf in flat)
+        h = flat_draws[: 2 * m * count].view(complex).reshape(m, count)
+        sq_err = flat_draws[2 * m * width : (2 * width + count) * m].reshape(m, count)
         for j, rng in enumerate(_trial_rngs(base_seed, snr_index, start, count)):
             rng.standard_normal(out=draws[j])
         block = draws[:count].T

@@ -270,8 +270,20 @@ def bessel_j0(x):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _lgamma(n: int) -> float:
+    """math.lgamma at an integer: the series coefficients take a few hundred
+    values of it many times over."""
+    return math.lgamma(n)
+
+
+_LOG_2 = math.log(2.0)
+_LOG_PI = math.log(math.pi)
+_LOG_DENSITY = math.log(DIPOLE_DIRECTIVITY / (2.0 * math.pi))
+
+
 def _log_binomial(n: int, r: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+    return _lgamma(n + 1) - _lgamma(r + 1) - _lgamma(n - r + 1)
 
 
 @lru_cache(maxsize=None)
@@ -288,18 +300,18 @@ def log_alpha_magnitude(k: int, l: int) -> tuple[int, float]:
     """
     if k < 0 or l < 0 or l > k:
         raise ValueError("require 0 <= l <= k")
-    lg = math.lgamma
+    lg = _lgamma
     # (2l+3)!! = (2l+3)! / (2^(l+1) (l+1)!)
-    log_dfact = lg(2 * l + 4) - (l + 1) * math.log(2.0) - lg(l + 2)
+    log_dfact = lg(2 * l + 4) - (l + 1) * _LOG_2 - lg(l + 2)
     # (2k+4)(2k+2)...(2k-2l+2) = 2^(l+2) (k+2)! / (k-l)!
-    log_even_prod = (l + 2) * math.log(2.0) + lg(k + 3) - lg(k - l + 1)
+    log_even_prod = (l + 2) * _LOG_2 + lg(k + 3) - lg(k - l + 1)
     log_mag = (
         -lg(2 * k + 1)
         + _log_binomial(2 * k, 2 * l)
         + _log_binomial(2 * l, l)
         + _log_binomial(2 * (k - l), k - l)
-        + (2 * k + 2) * math.log(math.pi)
-        + math.log(DIPOLE_DIRECTIVITY / (2.0 * math.pi))
+        + (2 * k + 2) * _LOG_PI
+        + _LOG_DENSITY
         + log_dfact
         - log_even_prod
     )

@@ -33,6 +33,7 @@ from holoest.geometry import (
 from holoest.linalg import principal_subspace, subspace_contained
 
 ZERO_SEP = 1.67 * 3 * math.pi / 16
+EPS = np.finfo(float).eps
 
 
 class TestIsoEntry:
@@ -147,6 +148,82 @@ class TestBesselRule:
 
     def test_no_offsets_give_an_empty_array(self):
         assert iso_entry([], []).shape == (0,)
+
+
+LEGENDRE_ORDERS = [*range(1, 41), 96, 192, 616, correlation._MAX_ORDER]
+
+# Edge weights (nearest -1, then the next) to 40 digits, from Newton's
+# iteration at 50 digits (80 give the same), with n the order and k = 1, 2:
+#   python -c "import mpmath as mp; mp.mp.dps = 50; n, k = 192, 1
+#   def p(x):  # P_n(x), P_n'(x) by the three-term recurrence
+#       a, b = mp.mpf(1), x
+#       for j in range(1, n): a, b = b, ((2 * j + 1) * x * b - j * a) / (j + 1)
+#       return b, n * (a - x * b) / (1 - x * x)
+#   x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
+#   for _ in range(20): x -= p(x)[0] / p(x)[1]
+#   print(mp.nstr(2 / ((1 - x * x) * p(x)[1] ** 2), 40))"
+EDGE_WEIGHTS = {
+    96: (
+        "0.0007967920655520124294381434969435687599311",
+        "0.001853960788946921732335925350893910588208",
+    ),
+    192: (
+        "0.000200251014747126730371231245025590926071",
+        "0.0004660944855912469603944432543932118921639",
+    ),
+    1386: (
+        "0.000003860188226892685275286185010542665732517",
+        "0.000008985764174554995860593469076108673368641",
+    ),
+}
+
+
+class TestLegendreRule:
+    """``_leggauss``, Newton's iteration on the three-term recurrence."""
+
+    @pytest.mark.parametrize("order", LEGENDRE_ORDERS)
+    def test_nodes_match_numpy(self, order):
+        # numpy's rule, from the companion eigenvalues and one Newton step, is
+        # accurate to about an ulp of 1
+        nodes, _ = correlation._leggauss(order)
+        reference, _ = np.polynomial.legendre.leggauss(order)
+        assert np.abs(nodes - reference).max() <= 2 * EPS
+
+    @pytest.mark.parametrize("order", LEGENDRE_ORDERS)
+    def test_symmetric_positive_and_sums_to_two(self, order):
+        nodes, weights = correlation._leggauss(order)
+        assert nodes.shape == weights.shape == (order,)
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        if order % 2:
+            middle = nodes[order // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+        # n additions of weights that each carry the recurrence's n roundings
+        assert abs(np.sum(weights) - 2.0) <= 2 * order * EPS * 2.0
+
+    @pytest.mark.parametrize("order", LEGENDRE_ORDERS)
+    def test_exact_on_polynomials_below_twice_the_order(self, order):
+        # relative to sum |w x^k|: the sum rounds n times, the weights carry
+        # the recurrence's n roundings, and x^k with k < 2n turns a node's
+        # last-place error into up to 2n of the power's
+        nodes, weights = correlation._leggauss(order)
+        for k in range(2 * order):
+            terms = weights * nodes**k
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            bound = 4 * order * EPS * np.sum(np.abs(terms))
+            assert abs(np.sum(terms) - exact) <= bound, k
+
+    @pytest.mark.parametrize("order", sorted(EDGE_WEIGHTS))
+    def test_edge_weights_match_40_digit_values(self, order):
+        # w = 2 / ((1 - x^2) P_n'(x)^2) has d log w / dx = -2x / (1 - x^2) at
+        # a root, so a node within 2 ulps moves its weight by 4 |x| ulp(x) /
+        # ((1 - x)(1 + x)) relative; the recurrence adds n roundings
+        nodes, weights = correlation._leggauss(order)
+        for i, text in enumerate(EDGE_WEIGHTS[order]):
+            x = abs(nodes[i])
+            bound = 4 * x * np.spacing(x) / ((1 - x) * (1 + x)) + order * EPS
+            assert abs(weights[i] / float(text) - 1.0) <= bound, i
 
 
 class TestQuadratureEntry:
@@ -393,9 +470,6 @@ def _total_scattering(scenario: ClusterScenario, azimuth, elevation):
         cluster_scattering(scenario, n, azimuth - c.azimuth, elevation - c.elevation)
         for n, c in enumerate(scenario.clusters)
     )
-
-
-EPS = np.finfo(float).eps
 
 
 def recurrence_table(
@@ -775,6 +849,26 @@ def _square(m: int, spacing: float) -> UpaGeometry:
     return UpaGeometry(m_y=m, m_z=m, d_y=spacing, d_z=spacing)
 
 
+def full_phase_table(
+    scenario: ClusterScenario, n: int, geometry: UpaGeometry, refinement: int
+) -> np.ndarray:
+    """``_cluster_offset_table`` with the elevation phase exponentiated at
+    every signed z-step instead of mirrored from the steps b >= 0."""
+    ny, nz = geometry.m_y, geometry.m_z
+    separation = math.hypot((ny - 1) * geometry.d_y, (nz - 1) * geometry.d_z)
+    u, wu, v, wv = correlation._cluster_axis_data(scenario.clusters[n], separation, refinement)
+    cos_v = np.cos(v)
+    azimuth_sum = correlation._azimuth_interpolant(
+        2.0 * math.pi * geometry.d_y * np.sin(u), wu, (ny - 1) * cos_v.max()
+    )
+    azimuth_sums = np.array([azimuth_sum(a * cos_v) for a in range(ny)])
+    steps_z = np.arange(1 - nz, nz)
+    elevation_phase = np.exp(
+        2j * math.pi * geometry.d_z * np.sin(v)[:, None] * steps_z[None, :]
+    )
+    return scenario.cluster_scale(n) * ((azimuth_sums * wv) @ elevation_phase)
+
+
 class TestAzimuthInterpolant:
     @pytest.mark.parametrize(
         "geometry, scenario",
@@ -817,6 +911,26 @@ class TestAzimuthInterpolant:
                 reference = recurrence_table(scenario, n, geometry, refinement)
                 bound = table_tolerance(scenario, n, geometry, refinement)
                 assert np.abs(table - reference).max() <= bound, (refinement, n)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            _square(10, 0.2),
+            _square(32, 2.0),
+            UpaGeometry(m_y=8, m_z=1, d_y=0.2, d_z=0.2),
+            _square(7, 0.05),
+            UpaGeometry(m_y=2, m_z=50, d_y=0.2, d_z=14.0),
+        ],
+        ids=["10x10_0.2", "32x32_2", "m_z_1", "7x7_0.05", "2x50_d_z_14"],
+    )
+    def test_mirrored_elevation_phases_are_the_full_exponential(self, geometry):
+        # exp(-j t) is conj(exp(j t)) bit for bit, out to phases of 2 pi 686
+        scenario = default_cluster_scenario(1)
+        for refinement in (1, 2):
+            for n in range(len(scenario.clusters)):
+                table = correlation._cluster_offset_table(scenario, n, geometry, refinement)
+                reference = full_phase_table(scenario, n, geometry, refinement)
+                assert table.tobytes() == reference.tobytes(), (refinement, n)
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.6, 10.0, 100.0, 314.0])
     def test_degree_is_the_least_that_bounds_the_bessel_tail(self, tau):

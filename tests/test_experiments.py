@@ -349,13 +349,15 @@ class TestMonteCarloCell:
         r_mc_sqrt = psd_sqrt(channel.r_mc)
         m, block = r_mc_sqrt.shape[0], experiments._MC_BLOCK
         complex_size, real_size = 16, 8
-        # live for the whole cell: three complex and one real M x block
-        # buffers and the block x 4M draws
-        buffers = (3 * complex_size + real_size + 4 * real_size) * m * block
+        # live for the whole cell: the block x 4M draws, whose storage also
+        # holds h and the squared errors, and two complex M x block buffers
+        buffers = (4 * real_size + 2 * complex_size) * m * block
         # transient, at most all at once: the two per-column sums of a block,
         # the complex copy matmul makes of a real M x M operand, and each
         # trial's key words (under 150 bytes of arrays) and their Python ints
         transient = 2 * real_size * block + complex_size * m * m + 512 * block
+        # a first call imports numpy.random's modules, which is not a block's cost
+        experiments._mc_cell(filters, r_mc_sqrt, rho, 0, 100, 7)
         tracemalloc.start()
         try:
             experiments._mc_cell(filters, r_mc_sqrt, rho, 0, 3000, 7)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import j0, sici
 
+from holoest.correlation import _SERIES_MAX_K as SERIES_MAX_K
 from holoest.special import (
     DIPOLE_DIRECTIVITY,
     EULER_GAMMA,
@@ -206,6 +207,36 @@ def alpha_exact_oracle(k: int, l: int) -> float:
         * DIPOLE_DIRECTIVITY
         / (2 * math.pi)
     )
+
+
+def alpha_lgamma_reference(k: int, l: int) -> float:
+    """The series coefficient assembled from direct math.lgamma calls, in the
+    order the library sums them."""
+    lg = math.lgamma
+
+    def log_binomial(n: int, r: int) -> float:
+        return lg(n + 1) - lg(r + 1) - lg(n - r + 1)
+
+    log_dfact = lg(2 * l + 4) - (l + 1) * math.log(2.0) - lg(l + 2)
+    log_even_prod = (l + 2) * math.log(2.0) + lg(k + 3) - lg(k - l + 1)
+    log_mag = (
+        -lg(2 * k + 1)
+        + log_binomial(2 * k, 2 * l)
+        + log_binomial(2 * l, l)
+        + log_binomial(2 * (k - l), k - l)
+        + (2 * k + 2) * math.log(math.pi)
+        + math.log(DIPOLE_DIRECTIVITY / (2.0 * math.pi))
+        + log_dfact
+        - log_even_prod
+    )
+    return (-1 if k % 2 else 1) * math.exp(log_mag)
+
+
+def test_alpha_is_the_direct_lgamma_assembly_bitwise():
+    # the cached log-gamma table changes no float and no order of summation
+    for k in range(SERIES_MAX_K + 1):
+        for l in range(k + 1):
+            assert alpha_coefficient(k, l) == alpha_lgamma_reference(k, l), (k, l)
 
 
 def test_alpha_zero_zero():
