@@ -50,7 +50,6 @@ sweep.snr_db = -10:2:24
 sweep.mc_trials = 10000           # 0 disables Monte Carlo
 sweep.estimators = mmse_true,mmse_coupling_aware_iso,mmse_iso,ls
 sweep.base_seed = 20240605
-sweep.validation_mode = false
 
 # Output formatting
 output.precision = 17             # significant digits in CSV floats
@@ -131,7 +130,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "mc_trials": _checked(int, check_mc_trials),
         "estimators": _checked(_split, check_estimators),
         "base_seed": _parse_seed,
-        "validation_mode": _parse_bool,
     },
     "output": {
         "precision": _checked(int, check_positive_integer),
@@ -144,7 +142,6 @@ class CliConfig:
     """Typed view of a parsed configuration file plus override helpers."""
 
     values: dict[str, dict[str, object]] = field(default_factory=dict)
-    source: str = "<defaults>"
 
     def get(self, section: str, key: str):
         for values in (self.values, _reference().values):
@@ -196,7 +193,6 @@ class CliConfig:
             mc_trials=self.get("sweep", "mc_trials"),
             base_seed=base_seed,
             coupling=self.coupling(),
-            validation_mode=self.get("sweep", "validation_mode"),
         )
 
     def float_format(self) -> str:
@@ -234,7 +230,7 @@ def parse_config(text: str, source: str = "<string>") -> CliConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {name}: {exc}") from exc
         values.setdefault(section, {})[key] = value
-    return CliConfig(values=values, source=source)
+    return CliConfig(values=values)
 
 
 def load_config(path: str | Path | None) -> CliConfig:

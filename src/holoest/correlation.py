@@ -7,8 +7,8 @@ Three construction routes:
   rule on the elevation integral left after the azimuth integral is done in
   closed form as a Bessel function,
 * a generic adaptive 2-D quadrature of the scattering integral (tensor
-  Gauss-Kronrod 21 cubature in numpy), used as the independent oracle for
-  everything else,
+  Gauss-Kronrod 21 cubature in numpy, refined as ``scipy.integrate.cubature``
+  refines it), used as the independent oracle for everything else,
 * a clustered non-isotropic model integrated per cluster on panel-refined
   Gauss-Legendre grids tuned to each cluster's angular support, with the 2-D
   sum factorized: the azimuth sum, a function of a y-step times cos v, is
@@ -179,8 +179,9 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     weights 2 / ((1 - x)(1 + x) P_n'(x)^2).  The nodes are then within an ulp
     or two of the roots.  Since d log w / dx = -2x / (1 - x^2) at a root, an
     edge weight errs by about 2 ulp(x) / (1 - x^2) relative, which rounding its
-    node to a double causes: 1.1e-12 at order 192, where numpy's companion
-    eigenvalue rule errs by 4.2e-11.
+    node to a double causes: 1.1e-12 at order 192 and 2e-11 at 1386, the
+    largest order a route asks for, where numpy's companion eigenvalue rule errs
+    by 4.2e-11 and 1.2e-8 (against 40-digit values).
     """
     n = order
     k = np.arange(1, (n + 1) // 2 + 1)
@@ -340,11 +341,11 @@ class QuadratureOptions:
     """Controls for the adaptive scattering-integral quadrature.
 
     ``abs_tol`` is the absolute error target of each cos and sin part, with a
-    relative target of 1e-10 beside it.  ``limit`` is the subdivision budget
-    of the adaptive cubature over each breakpoint-bounded sub-rectangle (each
-    subdivision quarters the worst region); the default lets an isotropic
-    offset converge out to the Bessel rule's 100-wavelength range (offset
-    (0, 70, 70), 99 wavelengths long, takes 4260).
+    relative target of ``_CUBATURE_RTOL`` (1e-10) beside it.  ``limit`` is the
+    subdivision budget of the adaptive cubature over each breakpoint-bounded
+    sub-rectangle (each subdivision quarters the worst region); the default
+    lets an isotropic offset converge out to the Bessel rule's 100-wavelength
+    range (offset (0, 70, 70), 99 wavelengths long, takes 4260).
     ``azimuth_points`` and ``elevation_points`` are breakpoints: the domain is
     split at them into sub-rectangles whose integrals are summed.
     """
@@ -359,6 +360,9 @@ def _axis_edges(points) -> list[float]:
     inside = sorted({p for p in points or () if -_HALF_PI < p < _HALF_PI})
     return [-_HALF_PI, *inside, _HALF_PI]
 
+
+# the cubature's relative error target per output, beside QuadratureOptions.abs_tol
+_CUBATURE_RTOL = 1e-10
 
 # QUADPACK's dqk21 (Piessens et al., 1983): the Kronrod-21 abscissae on [0, 1]
 # in decreasing order, and their weights.  Every second abscissa, from the
@@ -403,15 +407,15 @@ def _gk21_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.stack((kronrod, gauss))
 
 
-def _gk21_cubature(integrand, lo, hi, atol: float, rtol: float, limit: int):
+def _gk21_cubature(integrand, lo, hi, atol: float, limit: int):
     """Adaptive tensor Gauss-Kronrod 21 cubature over the rectangle [lo, hi].
 
     ``integrand`` maps ``(n, 2)`` nodes to ``(n, m)`` values.  A region's
     estimate is its 21 x 21 Kronrod sum and its error |Kronrod - Gauss-10|,
-    per output.  While some output's summed error exceeds atol + rtol |sum|,
-    the region with the largest error is quartered at its midpoint, its four
-    children evaluated in one integrand call; ``limit`` subdivisions stop it.
-    Returns the summed estimates and errors.
+    per output.  While some output's summed error exceeds atol +
+    _CUBATURE_RTOL |sum|, the region with the largest error is quartered at its
+    midpoint, its four children evaluated in one integrand call; ``limit``
+    subdivisions stop it.  Returns the summed estimates and errors.
     """
     nodes, (kronrod, gauss) = _gk21_rule()
     unit = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -430,7 +434,7 @@ def _gk21_cubature(integrand, lo, hi, atol: float, rtol: float, limit: int):
     # max-heap on each region's largest error; the count breaks ties
     heap = [(-err[0].max(), 0, lo[0], hi[0], est[0], err[0])]
     subdivisions = 0
-    while np.any(total_err > atol + rtol * np.abs(total)):
+    while np.any(total_err > atol + _CUBATURE_RTOL * np.abs(total)):
         _, _, a, b, region_est, region_err = heapq.heappop(heap)
         total -= region_est
         total_err -= region_err
@@ -491,7 +495,7 @@ def quadrature_entry(
     for az_lo, az_hi in zip(az_edges[:-1], az_edges[1:]):
         for el_lo, el_hi in zip(el_edges[:-1], el_edges[1:]):
             est, err = _gk21_cubature(
-                integrand, (az_lo, el_lo), (az_hi, el_hi), atol, 1e-10, opts.limit
+                integrand, (az_lo, el_lo), (az_hi, el_hi), atol, opts.limit
             )
             value += est
             error += err

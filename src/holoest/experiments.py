@@ -39,7 +39,6 @@ __all__ = [
     "check_bool",
     "check_estimators",
     "Channel",
-    "ValidationFailure",
     "default_cluster_scenario",
     "build_channel",
     "run_sweep",
@@ -93,7 +92,6 @@ class SweepConfig:
     mc_trials: int = 10_000
     base_seed: int = DEFAULT_BASE_SEED
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
-    validation_mode: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.scenario, str) and self.scenario != "isotropic":
@@ -102,7 +100,6 @@ class SweepConfig:
         check_mc_trials(self.mc_trials)
         check_seed(self.base_seed)
         check_estimators(self.estimators)
-        check_bool(self.validation_mode)
 
 
 def pilot_snr(snr_db: float) -> float:
@@ -166,10 +163,6 @@ def check_estimators(kinds: tuple[str, ...]) -> tuple[str, ...]:
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"estimator list repeats a kind: {', '.join(kinds)}")
     return kinds
-
-
-class ValidationFailure(RuntimeError):
-    """A validation-mode sweep found Monte Carlo disagreeing with the analytic MSE."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,15 +504,6 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
                     mc_stderr=mc_stderr,
                 )
             )
-    if config.validation_mode:
-        for row in rows:
-            if row.mc_mse is not None and row.mc_deviation_se > 5.0:
-                raise ValidationFailure(
-                    f"Monte Carlo mean {row.mc_mse:.6e} deviates from "
-                    f"analytic {row.analytic_mse:.6e} by more than 5 SE "
-                    f"({row.estimator} at {row.snr_db} dB)"
-                )
-
     return SweepResult(rows=rows)
 
 

@@ -6,7 +6,9 @@ tolerance for every numerical-rank decision.  Eigen- and singular vectors keep
 the phases LAPACK gives them: no filter, MSE, square root, rank or projector
 depends on them.  A ``CovarianceMatrix`` is always entries rebuilt from a
 clamped spectrum, and ``CovarianceMatrix.from_spectrum`` is the only place that
-clamps or rejects an indefinite spectrum.
+clamps or rejects an indefinite spectrum; square roots and principal subspaces
+are read from that spectrum.  The subspace checks return residuals and leave
+the verdict to their callers.
 """
 
 from __future__ import annotations
@@ -158,20 +160,16 @@ def _require_orthonormal(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def subspace_contained(
-    b_small: np.ndarray, b_big: np.ndarray, tol: float
-) -> tuple[bool, float]:
-    """Whether span(b_small) lies inside span(b_big), plus the residual.
-
-    The residual is the spectral norm of (I - P_big) b_small.
+def subspace_contained(b_small: np.ndarray, b_big: np.ndarray) -> float:
+    """How far span(b_small) leaks out of span(b_big): the spectral norm of
+    (I - P_big) b_small, 0 when it lies inside; the caller judges it.
     """
     b_small = _require_orthonormal(b_small)
     b_big = _require_orthonormal(b_big)
     if b_small.shape[1] == 0:
-        return True, 0.0
+        return 0.0
     leak = b_small - b_big @ (b_big.conj().T @ b_small)
-    residual = float(np.linalg.norm(leak, 2))
-    return residual < tol, residual
+    return float(np.linalg.norm(leak, 2))
 
 
 def thin_svd(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

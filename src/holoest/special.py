@@ -3,11 +3,12 @@
 The impedance closed forms take Si/Ci at arguments from ~1e-5 to ~1.3e3
 inside the 100-wavelength separation gate, and the isotropic Bessel rule
 takes J0 at arguments up to 2 pi times 100.  All three are computed here with
-numpy alone, so importing the package never loads scipy.  Each takes scalars
-or arrays and rejects any argument outside its real domain.  Each method
-truncates where a bound stated beside it falls under _TOL: series term counts
-are fixed for the range a method covers, and continued-fraction depths are
-set per argument, so a value never depends on the other arguments of a call.
+numpy alone, so importing the package never loads scipy; the tests hold Si,
+Ci and J0 within 2e-15 of ``scipy.special``.  Each takes scalars or arrays and
+rejects any argument outside its real domain.  Each method truncates where a
+bound stated beside it falls under _TOL: series term counts are fixed for the
+range a method covers, and continued-fraction depths are set per argument, so
+a value never depends on the other arguments of a call.
 The isotropic-correlation series needs its coefficients evaluated far past
 the point where the factorials involved overflow a double.  All are pure
 functions.

@@ -200,12 +200,10 @@ def test_criterion_6_prop2_same_source(
         cases = _prop2_cases(model_10x10, r_base, r_iso_10x10, r_mc, r_mc_iso)
         for name, (spec, factor) in cases.items():
             basis = orthonormal_column_basis(factor)
-            _, residual = est.verify_column_space(spec, basis, tol=1e-8)
-            worst = max(worst, residual)
+            worst = max(worst, est.verify_column_space(spec, basis))
     # isotropic case of the nesting: scenario-1 and scenario-2 factors coincide
     basis = orthonormal_column_basis(model_10x10.coupling_sqrt @ psd_sqrt(r_iso_10x10))
-    _, nest_iso = subspace_contained(basis, basis, 1e-8)
-    worst = max(worst, nest_iso)
+    worst = max(worst, subspace_contained(basis, basis))
     report(
         "criterion-6 prop2 (same-source spaces, iso nesting)",
         worst < 1e-8,
@@ -228,9 +226,11 @@ def test_criterion_6_prop2_cluster_nesting(model_10x10, r_iso_10x10, r_clu_10x10
     root = model_10x10.coupling_sqrt
     basis_clu = orthonormal_column_basis(root @ psd_sqrt(r_clu_10x10))
     basis_iso = orthonormal_column_basis(root @ psd_sqrt(r_iso_10x10))
-    ok, residual = subspace_contained(basis_clu, basis_iso, 1e-8)
-    report("criterion-6 prop2 (cluster nesting)", ok, f"residual {residual:.3e}")
-    assert ok
+    residual = subspace_contained(basis_clu, basis_iso)
+    report(
+        "criterion-6 prop2 (cluster nesting)", residual < 1e-8, f"residual {residual:.3e}"
+    )
+    assert residual < 1e-8
 
 
 def _criterion_7_flags(result):

@@ -85,8 +85,22 @@ _REJECTED = [
     ("sweep.base_seed", "1.5"),
     ("scenario.seed", "7.0"),
     ("coupling.use_full_impedance", "maybe"),
-    ("sweep.validation_mode", "2"),
 ]
+
+# every key whose value is a number (or, for sweep.snr_db, a list of them)
+_NUMERIC_KEYS = (
+    *(
+        f"geometry.{key}"
+        for key in ("m_y", "m_z", "d_y", "d_z", "dipole_length", "dipole_radius")
+    ),
+    "coupling.frequency",
+    "coupling.conductivity",
+    "scenario.seed",
+    "sweep.snr_db",
+    "sweep.mc_trials",
+    "sweep.base_seed",
+    "output.precision",
+)
 
 
 def count_calls(monkeypatch, func):
@@ -112,7 +126,9 @@ class TestConfigParsing:
         assert "test.cfg:2" in str(err.value)
         assert "bogus" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["scenario.quad_tol", "scenario.series_tol"])
+    @pytest.mark.parametrize(
+        "key", ["scenario.quad_tol", "scenario.series_tol", "sweep.validation_mode"]
+    )
     def test_removed_quad_tol_key_rejected(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError) as err:
             parse_config(f"scenario.kind = isotropic\n{key} = 1e-9\n", source="t.cfg")
@@ -235,7 +251,6 @@ class TestConfigParsing:
             ("sweep.base_seed", "-1", "expected an integer >= 0, got -1"),
             ("scenario.seed", "-3", "expected an integer >= 0, got -3"),
             ("coupling.use_full_impedance", "maybe", "expected a boolean, got 'maybe'"),
-            ("sweep.validation_mode", "False!", "expected a boolean, got 'False!'"),
             (
                 "sweep.mc_trials",
                 "50",
@@ -518,15 +533,33 @@ class TestSweepCommand:
         assert len(grid) == 4
         assert [float(line.split(",")[1]) for line in lines] == list(grid)
 
-    def test_validation_mode_failure_exits_4(self, tmp_path, biased_mc_cell, capsys):
-        path = tmp_path / "strict.cfg"
-        path.write_text(SMALL + "sweep.validation_mode = true\n", encoding="utf-8")
-        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("value", ["-1", "0", "1e-300", "1e300"])
+    @pytest.mark.parametrize("key", _NUMERIC_KEYS)
+    def test_extreme_numeric_value_exits_cleanly(self, tmp_path, capsys, key, value):
+        # a value is rejected with its key, fails numerically, or sweeps to
+        # finite MSEs; never a traceback
+        section, name = key.split(".")
+        assert name in config._SCHEMA[section]  # an unknown key would pass unread
+        path = tmp_path / "extreme.cfg"
+        path.write_text(
+            f"geometry.m_y = 2\ngeometry.m_z = 2\nsweep.mc_trials = 0\n{key} = {value}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
         err = capsys.readouterr().err
-        assert code == 4
+        assert code in (0, 1, 3)
         assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-        assert "5 SE" in err
+        if code == 0:
+            lines = (out_dir / "sweep.csv").read_text().strip().splitlines()[1:]
+            for line in lines:
+                fields = line.split(",")
+                assert math.isfinite(float(fields[2])) and math.isfinite(float(fields[3]))
+            return
+        lines = [line for line in err.splitlines() if not line.startswith("warning:")]
+        assert len(lines) == 1
+        if code == 1:
+            assert key in lines[0]
 
     def test_plot_emits_valid_svg(self, small_cfg, tmp_path):
         out_dir = tmp_path / "plotted"
@@ -726,6 +759,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL  series_vs_quadrature" in out
+
+    def test_biased_monte_carlo_fails(self, small_cfg, capsys, biased_mc_cell):
+        # validate owns the Monte Carlo verdict: means 100 standard errors off
+        # the analytic MSE fail its 3-SE bound, as a verdict and not a traceback
+        code = main(["--config", small_cfg, "--quiet", "validate"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "FAIL  monte_carlo_consistency" in captured.out
+        assert captured.out.splitlines()[-1] == "1 check(s) failed: monte_carlo_consistency"
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestSubspaceCommand:

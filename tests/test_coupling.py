@@ -322,5 +322,5 @@ class TestEffectiveCorrelation:
         basis = out.eig.basis[:, :rank]
         expected = orthonormal_column_basis(model.coupling_sqrt @ psd_sqrt(r))
         assert rank == expected.shape[1] > 0
-        assert subspace_contained(basis, expected, 1e-12)[0]
-        assert subspace_contained(expected, basis, 1e-12)[0]
+        assert subspace_contained(basis, expected) < 1e-12
+        assert subspace_contained(expected, basis) < 1e-12

@@ -15,7 +15,6 @@ from holoest.coupling import GeometryOverlapWarning, effective_correlation
 from holoest.experiments import (
     CouplingConfig,
     SweepConfig,
-    ValidationFailure,
     build_channel,
     default_cluster_scenario,
     gap_report,
@@ -83,8 +82,6 @@ class TestSweepConfigValidation:
         [
             lambda g: CouplingConfig(use_full_impedance="false"),
             lambda g: CouplingConfig(use_full_impedance=1),
-            lambda g: SweepConfig(geometry=g, validation_mode="false"),
-            lambda g: SweepConfig(geometry=g, validation_mode=0),
         ],
     )
     def test_rejects_non_bool_switch(self, geom_2x2, build):
@@ -206,7 +203,6 @@ def mc_result(geom_4x4):
         geometry=geom_4x4,
         snr_grid_db=(-10.0, 0.0, 10.0, 20.0),
         mc_trials=4000,
-        validation_mode=True,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GeometryOverlapWarning)
@@ -224,7 +220,6 @@ class TestRunSweepMonteCarlo:
             geometry=geom_4x4,
             snr_grid_db=(-10.0, 0.0, 10.0, 20.0),
             mc_trials=4000,
-            validation_mode=True,
         )
         again = run_sweep(config)
         assert again.rows == mc_result.rows
@@ -405,20 +400,6 @@ class TestTrialKeys:
     def test_index_past_one_word_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             next(experiments._trial_rngs(1, 0, 2**32 - 1, 2))
-
-
-class TestValidationMode:
-    def test_biased_monte_carlo_raises_typed_error(self, geom_4x4, biased_mc_cell):
-        config = SweepConfig(
-            geometry=geom_4x4,
-            snr_grid_db=(0.0, 10.0),
-            mc_trials=200,
-            validation_mode=True,
-        )
-        with pytest.raises(ValidationFailure) as err:
-            run_sweep(config)
-        assert not isinstance(err.value, AssertionError)
-        assert "5 SE" in str(err.value)
 
 
 class TestBuildChannel:

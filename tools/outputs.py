@@ -69,6 +69,7 @@ INVOCATIONS: dict[str, tuple[str, list[str]]] = {
         for n in (8, 16, 20)
     },
     "sweep_32x32_2wl": (_square(32, 2.0) + _ANALYTIC, ["sweep", "--out", "out"]),
+    "print_config": ("", ["--print-config"]),
 }
 
 # seconds per invocation, far above any listed run; one that hangs is recorded
