@@ -59,14 +59,11 @@ _MC_BLOCK = 512
 _MAX_TRIALS = 1 << 32  # trial indices are single uint32 words
 
 # numpy's SeedSequence hash and mix constants (NEP 19, after O'Neill's
-# seed_seq_fe) and PCG64's 128-bit LCG multiplier, as ``_trial_words`` and
-# ``_trial_rngs`` replay them
+# seed_seq_fe), as ``_trial_words`` replays them
 _MASK32 = 0xFFFFFFFF
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,8 @@ class SweepConfig:
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
 
     def __post_init__(self) -> None:
-        if isinstance(self.scenario, str) and self.scenario != "isotropic":
+        isotropic = isinstance(self.scenario, str) and self.scenario == "isotropic"
+        if not (isotropic or isinstance(self.scenario, ClusterScenario)):
             raise ValueError("scenario must be 'isotropic' or a ClusterScenario")
         check_snr_grid(self.snr_grid_db)
         check_mc_trials(self.mc_trials)
@@ -349,32 +347,35 @@ def _trial_words(base_seed: int, snr_index: int, trials: np.ndarray) -> np.ndarr
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+class _TrialKey:
+    """A trial's ``_trial_words`` row as the ``ISeedSequence`` PCG64 seeds from.
+    PCG64 reads the memory of ``generate_state(4, np.uint64)``, so the row must
+    be a C-contiguous ``uint64`` array of 4 words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def _trial_rngs(
     base_seed: int, snr_index: int, start: int, count: int
 ) -> Iterator[np.random.Generator]:
-    """Generators in the states of ``_trial_rng`` for trials start .. start+count-1.
+    """The generators of ``_trial_rng`` for trials start .. start+count-1.
 
-    One ``Generator`` is reused, so each yielded one is the trial's only
-    until the next step: each step sets the PCG64 state that
-    ``pcg64_set_seed`` derives from the trial's ``_trial_words`` row (two
-    128-bit LCG steps), so its draws equal ``_trial_rng``'s bit for bit.
-    Trial indices must be below 2**32, as ``check_mc_trials`` ensures.
+    Each is numpy's PCG64 seeded from the trial's ``_trial_words`` row, the
+    state its ``SeedSequence`` would generate, so its draws equal
+    ``_trial_rng``'s bit for bit.  Trial indices must be below 2**32, as
+    ``check_mc_trials`` ensures.
     """
     if start + count > _MAX_TRIALS:
         raise ValueError(f"trial index {start + count - 1} is not below 2**32")
-    rng = np.random.Generator(np.random.PCG64(0))  # state is set per trial
-    bit_generator = rng.bit_generator
-    words = _trial_words(base_seed, snr_index, np.arange(start, start + count))
-    for seed_hi, seed_lo, inc_hi, inc_lo in words.tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    # registered here, not at import: importing holoest does not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_TrialKey)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for words in _trial_words(base_seed, snr_index, np.arange(start, start + count)):
+        yield generator(pcg64(_TrialKey(words)))
 
 
 def _mc_cell(
@@ -391,9 +392,9 @@ def _mc_cell(
     base_seed, snr_index, t)`` in one call, in the order iid real, iid
     imaginary, noise real, noise imaginary: the stream two
     ``complex_normal(rng, M)`` calls consume.  Trials run ``_MC_BLOCK`` at a
-    time: the block's generator keys are computed at once by
-    ``_trial_rngs`` (``_trial_rng`` is the oracle those keys are tested
-    against), its draws go into one block buffer, and its products and
+    time: the block's keys are computed at once by ``_trial_words``, each
+    seeds its trial's PCG64 in ``_trial_rngs`` (``_trial_rng`` is their
+    oracle), its draws go into one block buffer, and its products and
     squared-error sums run on M x block arrays reused across blocks and
     filters.  Once a block's draws are staged into ``work`` and ``noise``,
     the draw buffer's storage holds h in its first half and the squared
@@ -468,32 +469,28 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
 
     priors = channel.priors(config.estimators)
-    analytic: dict[str, list[float]] = {}
+    analytic = {prior: est.mse_eigen_expansion(prior, r_mc, rhos).tolist() for prior in priors}
     for prior, kinds in priors.items():
-        mses = est.mse_eigen_expansion(prior, r_mc, rhos).tolist()
-        analytic.update(dict.fromkeys(kinds, mses))
-    for kind in config.estimators:
-        for snr_db, mse in zip(config.snr_grid_db, analytic[kind]):
+        for snr_db, mse in zip(config.snr_grid_db, analytic[prior]):
             check_positive_finite(
-                mse / trace_mc, f"MSE / tr(R_mc) of {kind} at sweep.snr_db = {snr_db!r} dB"
+                mse / trace_mc, f"MSE / tr(R_mc) of {kinds[0]} at sweep.snr_db = {snr_db!r} dB"
             )
 
-    mc: dict[tuple[str, float], tuple[float, float]] = {}
+    # per SNR point, each prior's Monte Carlo mean and standard error
+    cells = [dict.fromkeys(priors, (None, None))] * len(rhos)
     if config.mc_trials > 0:
         r_mc_sqrt = psd_sqrt(r_mc)
-        for snr_index, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
+        for snr_index, rho in enumerate(rhos):
             filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
-            cell = _mc_cell(
+            cells[snr_index] = _mc_cell(
                 filters, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
             )
-            for prior, kinds in priors.items():
-                for kind in kinds:
-                    mc[(kind, float(snr_db))] = cell[prior]
 
     rows: list[SweepRow] = []
     for kind in config.estimators:
-        for snr_db, mse in zip(config.snr_grid_db, analytic[kind]):
-            mc_mse, mc_stderr = mc.get((kind, float(snr_db)), (None, None))
+        prior = channel.prior(kind)
+        for snr_db, mse, cell in zip(config.snr_grid_db, analytic[prior], cells):
+            mc_mse, mc_stderr = cell[prior]
             rows.append(
                 SweepRow(
                     estimator=kind,

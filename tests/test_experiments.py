@@ -113,6 +113,12 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(geometry=geom_4x4, scenario="urban")
 
+    @pytest.mark.parametrize("scenario", [None, 5, b"cluster", ["x"]])
+    def test_rejects_scenario_of_other_type(self, geom_4x4, scenario):
+        # these used to sweep the isotropic channel
+        with pytest.raises(ValueError, match="scenario"):
+            SweepConfig(geometry=geom_4x4, scenario=scenario)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -365,8 +371,9 @@ class TestMonteCarloCell:
 class TestTrialKeys:
     """The block keys against ``_trial_rng``, the per-trial oracle.
 
-    A numpy whose ``SeedSequence`` or PCG64 seeding differs fails here
-    instead of moving the Monte Carlo draws.
+    PCG64 seeding is numpy's own on both sides, from the words that
+    ``_trial_words`` replays.  A numpy whose ``SeedSequence`` differs fails
+    the words test here instead of moving the Monte Carlo draws.
     """
 
     # 1 to 5 entropy words; under 4 they are zero-padded to the pool size
@@ -396,6 +403,13 @@ class TestTrialKeys:
                 assert rng.bit_generator.state == oracle.bit_generator.state
                 draws = rng.standard_normal(4 * m)
                 assert draws.tobytes() == oracle.standard_normal(4 * m).tobytes()
+
+    def test_held_generator_keeps_its_stream(self):
+        # the next trial's generator is taken before the first one draws
+        rngs = experiments._trial_rngs(20240605, 3, 510, 3)
+        first, _ = next(rngs), next(rngs)
+        oracle = experiments._trial_rng(20240605, 3, 510)
+        assert first.standard_normal(400).tobytes() == oracle.standard_normal(400).tobytes()
 
     def test_index_past_one_word_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*32"):

@@ -52,6 +52,10 @@ INVOCATIONS: dict[str, tuple[str, list[str]]] = {
         "sweep.snr_db = -10:10:20\nsweep.mc_trials = 2000\n", ["sweep", "--out", "out"]
     ),
     "sweep_cluster_seed1": (_CLUSTER + _ANALYTIC, ["--seed", "1", "sweep", "--out", "out"]),
+    "sweep_cluster_mc": (
+        _CLUSTER + "sweep.snr_db = -10:10:20\nsweep.mc_trials = 1000\n",
+        ["--seed", "1", "sweep", "--out", "out"],
+    ),
     "validate": ("", ["validate"]),
     **{f"validate_seed{s}": ("", ["--seed", str(s), "validate"]) for s in (0, 1, 3, 7, 8)},
     "validate_cluster_seed1": (_CLUSTER, ["--seed", "1", "validate"]),
