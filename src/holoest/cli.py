@@ -222,11 +222,10 @@ def _prop2_residuals(channel):
     }
     rho = 10.0  # 10 dB; the spaces do not depend on the SNR
     residuals = {}
-    for prior, kinds in channel.priors(bases).items():
-        spec = channel.estimator(prior, rho)
-        residuals[prior] = est.verify_column_space(spec, bases[kinds[0]])
+    for filter_at, kinds in channel.estimators(bases).items():
+        residuals[filter_at] = est.verify_column_space(filter_at(rho), bases[kinds[0]])
     checks = {
-        f"scenario{scenario}_vs_factor": residuals[channel.prior(kind)]
+        f"scenario{scenario}_vs_factor": residuals[channel.estimator(kind)]
         for scenario, kind in enumerate(bases, start=1)
     }
     basis_1, basis_2 = bases[est.MMSE_TRUE], bases[est.MMSE_COUPLING_AWARE_ISO]
@@ -288,14 +287,14 @@ def _validate_checks(sweep_config, channel):
         )
     )
 
-    # the sweep reports the sum over each prior's modes; this guards that
+    # the sweep reports the sum over each filter's modes; this guards that
     # route against the dense error-covariance trace of each built filter
     rhos = [pilot_snr(snr_db) for snr_db in _VALIDATE_SNR_DB]
     worst_rel = 0.0
-    for prior in channel.priors(est.ESTIMATOR_KINDS):
-        expansion = est.mse_eigen_expansion(prior, channel.r_mc, rhos)
+    for filter_at in channel.estimators(est.ESTIMATOR_KINDS):
+        expansion = est.mse_eigen_expansion(filter_at, channel.r_mc, rhos)
         for rho, value in zip(rhos, expansion.tolist()):
-            trace_form = est.analytic_mse(channel.estimator(prior, rho), channel.r_mc)
+            trace_form = est.analytic_mse(filter_at(rho), channel.r_mc)
             worst_rel = max(worst_rel, abs(value - trace_form) / abs(trace_form))
     checks.append(
         ("prop3_eigen_expansion", worst_rel < 1e-8, f"max rel diff {worst_rel:.3e}")

@@ -1,17 +1,22 @@
 """Pilot-based channel estimation: filters and MSE analysis.
 
-The estimator family shares one linear structure, estimate = W y, with W
-either the scaled identity (least squares) or the Bayesian filter
-sqrt(rho) Rhat (rho Rhat + I)^-1 built from a prior covariance Rhat.  The
-analytic MSE the sweep reports is a sum over the prior's modes
-(``mse_eigen_expansion``: one projection per prior, every SNR from it, LS as
-M / rho); the dense error-covariance trace of a built filter
-(``analytic_mse``) is kept as its independent oracle.
+Every estimator is one linear filter, estimate = W y, in one form
+(``EstimatorSpec``): an orthonormal M x k basis U and per-mode gains g, so
+that W = U diag(g) U^H.  The Bayesian filter sqrt(rho) Rhat (rho Rhat + I)^-1
+keeps the prior's modes of nonzero eigenvalue lam_i, with g_i = sqrt(rho)
+lam_i / (rho lam_i + 1); least squares is U = I with g = 1 / sqrt(rho).  The
+analytic MSE the sweep reports takes one form for every filter
+(``mse_eigen_expansion``: one projection of R_mc's thin factor onto U per
+estimator, then O(k) per SNR); the dense error-covariance trace of a built
+filter (``analytic_mse``) is kept as its independent oracle.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,21 +44,88 @@ MMSE_ISO = "mmse_iso"
 LS = "ls"
 ESTIMATOR_KINDS = (MMSE_TRUE, MMSE_COUPLING_AWARE_ISO, MMSE_ISO, LS)
 
+_EPS = float(np.finfo(float).eps)
+# An analytic MSE counts only above this multiple of the roundoff floor of its
+# residual term: that roundoff then moves it by under 0.1 % (0.005 dB).
+_FLOOR_MULTIPLE = 1e3
+
 
 @dataclass(frozen=True, eq=False)
 class EstimatorSpec:
-    """A filter matrix W and the pilot SNR it assumes.
+    """A filter W = U diag(g) U^H and the pilot SNR rho it assumes.
 
-    ``mmse_filter`` also stores the prior's eigenbasis and the per-mode gains,
-    nonincreasing, from which ``verify_column_space`` reads W's column space.
-    A spec without them (LS, or one built by hand) has no column space to
-    check.
+    ``basis`` U is orthonormal M x k and the ``gains`` g are nonincreasing.
+    ``shrinkage`` s_i = 1 - sqrt(rho) g_i is the share of the channel's
+    component on mode i that the estimate misses, computed directly (as
+    1 / (rho lam_i + 1) for a prior eigenvalue lam_i), not from g.  A filter
+    that shrinks none of M modes, least squares, is I / sqrt(rho) whatever U
+    is: that is the one identity case, and none of its products reads U.
     """
 
-    filter: np.ndarray
+    basis: np.ndarray
+    gains: np.ndarray
+    shrinkage: np.ndarray
     rho: float
-    basis: np.ndarray | None = None
-    gains: np.ndarray | None = None
+
+    @cached_property
+    def _identity(self) -> bool:
+        return self.shrinkage.size == self.basis.shape[0] and not self.shrinkage.any()
+
+    @cached_property
+    def filter(self) -> np.ndarray:
+        """The dense M x M matrix W, built on first use."""
+        if self._identity:
+            return np.eye(self.basis.shape[0]) / np.sqrt(self.rho)
+        return spectral_rebuild(self.basis, self.gains)
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The estimates W y of the columns of ``y``, written to ``out``; for
+        I / sqrt(rho), y times 1 / sqrt(rho)."""
+        if self._identity:
+            return np.multiply(y, 1.0 / np.sqrt(self.rho), out=out)
+        return np.matmul(self.filter, y, out=out)
+
+    @property
+    def noise_power(self) -> float:
+        """sum_i g_i^2 = ||W||_F^2, the pilot noise power in the estimate; M / rho
+        exactly for I / sqrt(rho)."""
+        if self._identity:
+            return self.basis.shape[0] / self.rho
+        return float(self.gains @ self.gains)
+
+    def project(
+        self, vectors: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, float, float]:
+        """For the factor F = V diag(weights)^(1/2) of orthonormal M x r columns V
+        and B = U^H F: each mode's ||B_i||^2, the power ||F - U B||_F^2 outside
+        span U, and that residual's roundoff floor.  The weights enter after
+        the products, so no square root is rounded."""
+        if self._identity:
+            # U = I: B = F, and no power lies outside span U
+            return np.abs(vectors) ** 2 @ weights, 0.0, 0.0
+        m, k = self.basis.shape
+        coeffs = self.basis.conj().T @ vectors
+        outside = vectors - self.basis @ coeffs
+        outside_sq = np.sum(np.abs(outside) ** 2, axis=0)
+        residual = float(outside_sq @ weights)
+        # The floor bounds |residual - sum_j w_j ||D_j||^2|, D = (I - U U^H) V
+        # the exact value.  A complex inner product of length n errs by at
+        # most (n + 2) eps |x|^T |y| (eps = 2u covers complex products'
+        # sqrt(2)), so
+        #   B^ = U^H V + E1,         |E1| <= (M + 2) eps |U|^H |V|
+        #   C^ = U B^ + E2,          |E2| <= (k + 2) eps |U| |B^|
+        #   D^ = (V - C^) (1 + d),   |d| <= eps entrywise,
+        # with ||U E1 e_j|| = ||E1 e_j||, || |U| ||_2 <= ||U||_F = sqrt(k) and
+        # ||D_j|| <= ||v_j|| = 1; eigh's U is orthonormal only to about M eps,
+        # which moves D_j itself by up to M eps.  To first order each column
+        # then has ||D^_j - D_j|| <= delta = (sqrt(k) (M + k + 4) + M + 1) eps,
+        # so | ||D^_j||^2 - ||D_j||^2 | <= delta (2 ||D_j|| + delta)
+        # <= delta (2 ||D^_j|| + 3 delta); the column sums of squares and the
+        # weighted sum add (M + r) eps times the residual.
+        delta = (math.sqrt(k) * (m + k + 4) + m + 1) * _EPS
+        floor = delta * float((2.0 * np.sqrt(outside_sq) + 3.0 * delta) @ weights)
+        floor += (m + weights.size) * _EPS * residual
+        return np.abs(coeffs) ** 2 @ weights, residual, floor
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -64,20 +136,29 @@ def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
 def mmse_filter(r_hat: CovarianceMatrix, rho: float) -> EstimatorSpec:
     """Bayesian filter W = sqrt(rho) Rhat (rho Rhat + I)^-1 for a prior Rhat.
 
-    Computed spectrally in Rhat's eigenbasis, which keeps rank-deficient
-    priors exact: zero modes map to zero filter gain.
+    Spectral in Rhat's eigenbasis: U keeps the modes of nonzero clamped
+    eigenvalue lam_i (every other mode has zero gain), with
+    g_i = sqrt(rho) lam_i / (rho lam_i + 1) and s_i = 1 / (rho lam_i + 1).
     """
     check_positive_finite(rho, "pilot SNR")
     eig = r_hat.eig
-    gains = np.sqrt(rho) * eig.values / (rho * eig.values + 1.0)
-    w = spectral_rebuild(eig.basis, gains)
-    return EstimatorSpec(filter=w, rho=rho, basis=eig.basis, gains=gains)
+    kept = int(np.count_nonzero(eig.values))  # clamped: the rest are exact zeros
+    values = eig.values[:kept]
+    denom = rho * values + 1.0
+    return EstimatorSpec(
+        basis=eig.basis[:, :kept],
+        gains=np.sqrt(rho) * values / denom,
+        shrinkage=1.0 / denom,
+        rho=rho,
+    )
 
 
 def ls_filter(rho: float, m: int) -> EstimatorSpec:
-    """Least-squares filter W = I / sqrt(rho)."""
+    """Least-squares filter W = I / sqrt(rho): U = I, g = 1 / sqrt(rho), s = 0."""
     check_positive_finite(rho, "pilot SNR")
-    return EstimatorSpec(filter=np.eye(m) / np.sqrt(rho), rho=rho)
+    return EstimatorSpec(
+        basis=np.eye(m), gains=np.full(m, 1.0 / np.sqrt(rho)), shrinkage=np.zeros(m), rho=rho
+    )
 
 
 def error_covariance(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> np.ndarray:
@@ -103,43 +184,55 @@ def analytic_mse(spec: EstimatorSpec, r_mc: CovarianceMatrix) -> float:
 
 
 def mse_eigen_expansion(
-    prior: CovarianceMatrix | None, r_mc: CovarianceMatrix, rhos
+    filter_at: Callable[[float], EstimatorSpec], r_mc: CovarianceMatrix, rhos
 ) -> np.ndarray:
-    """MSE of the filter built from ``prior`` at each pilot SNR: the sweeps' route.
+    """MSE of one estimator's filter at each pilot SNR: the sweeps' route.
 
-    With the prior's eigenpairs (u_i, lam_i), b_i = u_i^H R_mc u_i (one M x M
-    product) and s_i = 1 / (rho lam_i + 1), the filter gain is g_i = sqrt(rho)
-    lam_i s_i and MSE = sum_i b_i s_i^2 + g_i^2 (the paper's Prop. 3), O(M) per
-    SNR.  ``prior=None`` is least squares, M / rho.
+    ``filter_at(rho)`` is the filter at pilot SNR rho, on one basis U at every
+    SNR (as ``mmse_filter`` of one prior and ``ls_filter`` give it).  With
+    F = U_mc Lam_mc^(1/2) the thin factor of R_mc, read from its clamped
+    spectrum, and B = U^H F:
+
+        MSE(rho) = sum_i ||B_i||^2 s_i^2 + sum_i g_i^2 + ||F - U B||_F^2,
+
+    the paper's Prop. 3 on U's modes plus the channel power outside span U,
+    which no gain reaches.  The projection is taken once, with the first
+    filter; each SNR then costs O(k).  Least squares gives M / rho exactly.
+    Every term is nonnegative.  A point whose MSE is not above
+    ``_FLOOR_MULTIPLE`` times the last term's roundoff floor, which could
+    then move it by 0.1 % or more, is NaN.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    for rho in rhos.tolist():
-        check_positive_finite(rho, "pilot SNR")
+    eig = r_mc.eig
+    kept = int(np.count_nonzero(eig.values))
+    mse = []
     # M / rho or rho lam_i may overflow to inf (so s_i = g_i = 0); callers check
     with np.errstate(over="ignore"):
-        if prior is None:
-            return r_mc.size / rhos
-        eig = prior.eig
-        b = np.sum(eig.basis.conj() * (r_mc.entries @ eig.basis), axis=0).real
-        s = 1.0 / (rhos[:, None] * eig.values + 1.0)
-        g = np.sqrt(rhos)[:, None] * eig.values * s
-        return np.sum(b * s * s + g * g, axis=1)
+        for j, rho in enumerate(rhos):
+            spec = filter_at(rho)
+            if j == 0:
+                if spec.basis.shape[0] != r_mc.size:
+                    raise ValueError("dimension mismatch between filter and covariance")
+                mode_power, residual, floor = spec.project(
+                    eig.basis[:, :kept], eig.values[:kept]
+                )
+            shrink = spec.shrinkage
+            value = float(mode_power @ (shrink * shrink)) + spec.noise_power + residual
+            mse.append(value if value > _FLOOR_MULTIPLE * floor else math.nan)
+    return np.array(mse)
 
 
 def verify_column_space(spec: EstimatorSpec, basis: np.ndarray) -> float:
     """How far the filter's column space leaks out of span(basis), for an orthonormal
     ``basis`` (``subspace_contained`` rejects any other) of the expected space.
 
-    W's column space is the stored eigenbasis cut at ``relative_rank`` of the
-    stored gains; a spec without them raises ValueError.  Also pushes a batch
-    of random observations through the filter and checks the estimates land in
-    the same space.  Returns the worst residual; the caller judges it.
+    W's column space is U cut at ``relative_rank`` of the gains: for least
+    squares, the whole space.  Also pushes a batch of random observations
+    through the filter and checks the estimates land in the same space.
+    Returns the worst residual; the caller judges it.
     """
     basis = np.asarray(basis)
-    if basis.shape[0] != spec.filter.shape[0]:
+    if basis.shape[0] != spec.basis.shape[0]:
         raise ValueError("basis row count must match the filter")
-    if spec.basis is None or spec.gains is None:
-        raise ValueError("the filter has no stored spectrum to read its column space from")
     # copied contiguous: subspace_contained's products on the strided slice
     # sum in another order and move residuals at roundoff
     basis_w = np.ascontiguousarray(spec.basis[:, : relative_rank(spec.gains)])

@@ -3,18 +3,20 @@
 ``build_channel`` is the one assembly path of the channel model: the base
 spatial correlation (isotropic closed form or clustered quadrature), the
 coupling model, and the coupled correlations every estimator prior comes from.
-A sweep evaluates every requested estimator at every SNR point on that model,
-analytically and optionally by Monte Carlo (the one step that builds filters),
-once per distinct prior.  Trials draw from per-trial streams keyed by (base
-seed, SNR index, trial index), so results do not depend on order or batching.
+``Channel.estimator`` is the one map from estimator kinds to their filters,
+least squares included.  A sweep evaluates every requested estimator at every
+SNR point on that model, analytically and optionally by Monte Carlo (the one
+step that forms dense filters), once per distinct filter.  Trials draw from
+per-trial streams keyed by (base seed, SNR index, trial index), so results do
+not depend on order or batching.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -180,27 +182,33 @@ class Channel:
     r_hat_aware: CovarianceMatrix
     source: tuple
 
-    def prior(self, kind: str) -> CovarianceMatrix | None:
-        """Prior covariance the estimator kind filters with; None for LS."""
-        return {
-            est.MMSE_TRUE: self.r_mc,
-            est.MMSE_COUPLING_AWARE_ISO: self.r_hat_aware,
-            est.MMSE_ISO: self.r_iso,
-        }.get(kind)
+    @cached_property
+    def _filters(self) -> dict[str, Callable[[float], est.EstimatorSpec]]:
+        # the one map from kinds to filters; kinds with one prior share one
+        by_prior: dict[CovarianceMatrix, Callable[[float], est.EstimatorSpec]] = {}
+        filters = {
+            kind: by_prior.setdefault(prior, partial(est.mmse_filter, prior))
+            for kind, prior in (
+                (est.MMSE_TRUE, self.r_mc),
+                (est.MMSE_COUPLING_AWARE_ISO, self.r_hat_aware),
+                (est.MMSE_ISO, self.r_iso),
+            )
+        }
+        filters[est.LS] = partial(est.ls_filter, m=self.r_mc.size)
+        return filters
 
-    def priors(self, kinds) -> dict[CovarianceMatrix | None, list[str]]:
-        """Each distinct prior of ``kinds``, in first-use order, with the kinds
-        that filter with it; None is LS.  Isotropic: the aware prior is r_mc."""
-        groups: dict[CovarianceMatrix | None, list[str]] = {}
+    def estimator(self, kind: str) -> Callable[[float], est.EstimatorSpec]:
+        """Estimator ``kind``'s filter as a function of pilot SNR."""
+        return self._filters[kind]
+
+    def estimators(self, kinds) -> dict[Callable[[float], est.EstimatorSpec], list[str]]:
+        """Each distinct filter function of ``kinds``, in first-use order, with the
+        kinds that use it.  Isotropic: the aware prior is r_mc, so mmse_true
+        and mmse_coupling_aware_iso share one."""
+        groups: dict[Callable[[float], est.EstimatorSpec], list[str]] = {}
         for kind in kinds:
-            groups.setdefault(self.prior(kind), []).append(kind)
+            groups.setdefault(self.estimator(kind), []).append(kind)
         return groups
-
-    def estimator(self, prior: CovarianceMatrix | None, rho: float) -> est.EstimatorSpec:
-        """Filter built from ``prior`` at pilot SNR rho; None is LS."""
-        if prior is None:
-            return est.ls_filter(rho, self.r_mc.size)
-        return est.mmse_filter(prior, rho)
 
 
 def _channel_source(config: SweepConfig) -> tuple:
@@ -379,14 +387,14 @@ def _trial_rngs(
 
 
 def _mc_cell(
-    filters: dict[CovarianceMatrix | None, np.ndarray],
+    filters: dict[object, est.EstimatorSpec],
     r_mc_sqrt: np.ndarray,
     rho: float,
     snr_index: int,
     trials: int,
     base_seed: int,
-) -> dict[CovarianceMatrix | None, tuple[float, float]]:
-    """Empirical squared-error mean and standard error per filter, keyed by prior.
+) -> dict[object, tuple[float, float]]:
+    """Empirical squared-error mean and standard error per filter, under its key.
 
     Trial t draws its 4M standard normals from the stream of ``_trial_rng(
     base_seed, snr_index, t)`` in one call, in the order iid real, iid
@@ -399,8 +407,9 @@ def _mc_cell(
     filters.  Once a block's draws are staged into ``work`` and ``noise``,
     the draw buffer's storage holds h in its first half and the squared
     errors in its second, so a block lives in the draws and two complex
-    M x block buffers.  The least-squares filter (key None) is d I, so its
-    estimate is y times d, which equals the product with d I bit for bit.
+    M x block buffers.  Each filter's ``apply`` forms the estimates: the
+    product with its dense W, or for least squares y times 1 / sqrt(rho),
+    which equals the product with that W bit for bit.
     """
     m = r_mc_sqrt.shape[0]
     sums = dict.fromkeys(filters, 0.0)
@@ -431,33 +440,30 @@ def _mc_cell(
         np.matmul(r_mc_sqrt, work, out=h)
         np.multiply(h, sqrt_rho, out=work)
         y = np.add(noise, work, out=noise)  # IEEE addition commutes
-        for prior, w in filters.items():
-            if prior is None:
-                estimate = np.multiply(y, w[0, 0], out=work)
-            else:
-                estimate = np.matmul(w, y, out=work)
-            err = np.subtract(h, estimate, out=work)
+        for key, spec in filters.items():
+            err = np.subtract(h, spec.apply(y, out=work), out=work)
             np.abs(err, out=sq_err)
             np.square(sq_err, out=sq_err)
             sq = np.sum(sq_err, axis=0)
-            sums[prior] += float(np.sum(sq))
-            sq_sums[prior] += float(np.sum(sq * sq))
+            sums[key] += float(np.sum(sq))
+            sq_sums[key] += float(np.sum(sq * sq))
     out = {}
-    for prior in filters:
-        mean = sums[prior] / trials
-        var = max(sq_sums[prior] / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
-        out[prior] = (mean, math.sqrt(var / trials))
+    for key in filters:
+        mean = sums[key] / trials
+        var = max(sq_sums[key] / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
+        out[key] = (mean, math.sqrt(var / trials))
     return out
 
 
 def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResult:
     """Run the analytic (and optionally Monte Carlo) MSE sweep.
 
-    One ``mse_eigen_expansion`` call per distinct prior gives the analytic
-    rows of every estimator that filters with it, and one filter per prior
-    and SNR, the only filters built, their Monte Carlo columns.  An analytic
-    MSE without a finite NMSE raises ValueError.  ``channel`` reuses a model
-    from ``build_channel``; it must have been built from the same geometry,
+    One ``mse_eigen_expansion`` call per distinct filter function gives the
+    analytic rows of every estimator that uses it, and one filter per
+    function and SNR, whose dense W is the only one formed, their Monte Carlo
+    columns.  An analytic MSE without a finite NMSE, or not above its
+    roundoff floor, raises ValueError.  ``channel`` reuses a model from
+    ``build_channel``; it must have been built from the same geometry,
     scenario and coupling.
     """
     if channel is None:
@@ -468,29 +474,32 @@ def run_sweep(config: SweepConfig, channel: Channel | None = None) -> SweepResul
     trace_mc = r_mc.trace()
     rhos = [pilot_snr(snr_db) for snr_db in config.snr_grid_db]
 
-    priors = channel.priors(config.estimators)
-    analytic = {prior: est.mse_eigen_expansion(prior, r_mc, rhos).tolist() for prior in priors}
-    for prior, kinds in priors.items():
-        for snr_db, mse in zip(config.snr_grid_db, analytic[prior]):
+    filters = channel.estimators(config.estimators)
+    analytic = {}
+    for filter_at, kinds in filters.items():
+        analytic[filter_at] = est.mse_eigen_expansion(filter_at, r_mc, rhos).tolist()
+        for snr_db, mse in zip(config.snr_grid_db, analytic[filter_at]):
             check_positive_finite(
-                mse / trace_mc, f"MSE / tr(R_mc) of {kinds[0]} at sweep.snr_db = {snr_db!r} dB"
+                mse / trace_mc,
+                f"MSE / tr(R_mc) of {kinds[0]} above its roundoff floor"
+                f" at sweep.snr_db = {snr_db!r} dB",
             )
 
-    # per SNR point, each prior's Monte Carlo mean and standard error
-    cells = [dict.fromkeys(priors, (None, None))] * len(rhos)
+    # per SNR point, each filter function's Monte Carlo mean and standard error
+    cells = [dict.fromkeys(filters, (None, None))] * len(rhos)
     if config.mc_trials > 0:
         r_mc_sqrt = psd_sqrt(r_mc)
         for snr_index, rho in enumerate(rhos):
-            filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
+            specs = {filter_at: filter_at(rho) for filter_at in filters}
             cells[snr_index] = _mc_cell(
-                filters, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
+                specs, r_mc_sqrt, rho, snr_index, config.mc_trials, config.base_seed
             )
 
     rows: list[SweepRow] = []
     for kind in config.estimators:
-        prior = channel.prior(kind)
-        for snr_db, mse, cell in zip(config.snr_grid_db, analytic[prior], cells):
-            mc_mse, mc_stderr = cell[prior]
+        filter_at = channel.estimator(kind)
+        for snr_db, mse, cell in zip(config.snr_grid_db, analytic[filter_at], cells):
+            mc_mse, mc_stderr = cell[filter_at]
             rows.append(
                 SweepRow(
                     estimator=kind,

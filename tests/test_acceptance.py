@@ -9,6 +9,7 @@ loosened until green.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -94,15 +95,11 @@ def _worst_expansion_diff(priors, r_mc) -> float:
     """Worst relative gap between the per-prior expansion and each filter's trace."""
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in ACCEPTANCE_SNR_DB]
     worst = 0.0
-    for prior in priors:
-        expansion = est.mse_eigen_expansion(prior, r_mc, rhos)
+    filters = [partial(est.mmse_filter, prior) for prior in priors]
+    for filter_at in filters + [partial(est.ls_filter, m=r_mc.size)]:
+        expansion = est.mse_eigen_expansion(filter_at, r_mc, rhos)
         for rho, value in zip(rhos, expansion):
-            spec = (
-                est.ls_filter(rho, r_mc.size)
-                if prior is None
-                else est.mmse_filter(prior, rho)
-            )
-            trace_form = est.analytic_mse(spec, r_mc)
+            trace_form = est.analytic_mse(filter_at(rho), r_mc)
             worst = max(worst, abs(value - trace_form) / abs(trace_form))
     return worst
 
@@ -111,7 +108,7 @@ def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, 
     worst = 0.0
     # the paper's four estimators on the 10x10 scenarios
     for r_mc in (r_mc_iso, r_mc_clu):
-        priors = [r_mc, r_mc_iso, r_iso_10x10, None]  # true, aware, iso, LS
+        priors = [r_mc, r_mc_iso, r_iso_10x10]  # true, aware, iso; then LS
         worst = max(worst, _worst_expansion_diff(priors, r_mc))
     # twenty seeded random covariance pairs exercise arbitrary eigenbases
     for seed in range(20):
@@ -120,7 +117,7 @@ def test_criterion_3_eigen_expansion_oracle(model_10x10, r_iso_10x10, r_mc_iso, 
         factor_w = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
         r_mc = psd_clamp(factor_h @ factor_h.conj().T)
         r_hat = psd_clamp(factor_w @ factor_w.conj().T)
-        priors = [r_mc, r_hat, None]
+        priors = [r_mc, r_hat]
         worst = max(worst, _worst_expansion_diff(priors, r_mc))
     report("criterion-3 expansion-vs-trace", worst < 1e-8, f"max rel diff {worst:.3e}")
     assert worst < 1e-8

@@ -219,8 +219,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("snr_db", ["3000", "-3080"])
     def test_snr_point_without_finite_nmse_is_error(self, tmp_path, capsys, snr_db):
         # inside the pilot-SNR domain: at -3080 dB LS's M / rho overflows; at
-        # 3000 dB mmse_true's MSE is the roundoff of one clamped mode's
-        # projection, -7.3e-18 with OpenBLAS here, whose sign the BLAS decides
+        # 3000 dB mmse_true's MSE, about 1e-299, is far below the roundoff
+        # floor of its residual term
         path = tmp_path / "extreme.cfg"
         path.write_text(
             f"geometry.m_y = 2\nsweep.mc_trials = 0\nsweep.snr_db = {snr_db}\n"
@@ -229,10 +229,6 @@ class TestConfigParsing:
         code = main(["--config", str(path), "--quiet", "sweep", "--out", str(out_dir)])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if code == 0:
-            rows = (out_dir / "sweep.csv").read_text().strip().splitlines()[1:]
-            assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")[2:4])
-            return
         assert code == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

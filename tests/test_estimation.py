@@ -1,6 +1,7 @@
 """Estimator family: filters, error covariance, eigen-expansion, subspaces."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,8 +57,9 @@ class TestFilters:
 
 class TestEstimate:
     def test_zero_filter_zero_estimate(self):
-        spec = est.EstimatorSpec(np.zeros((3, 3)), rho=1.0)
-        assert np.allclose(spec.filter @ np.ones(3, dtype=complex), 0.0)
+        spec = est.mmse_filter(psd_clamp(np.zeros((3, 3))), rho=1.0)
+        y = np.ones((3, 1), dtype=complex)
+        assert np.allclose(spec.apply(y, out=np.empty_like(y)), 0.0)
 
     def test_estimate_lies_in_prior_column_space(self):
         r_hat = random_covariance(8, 8, rank=3)
@@ -81,7 +83,7 @@ class TestEstimate:
 class TestErrorCovariance:
     def test_zero_filter_returns_channel_covariance(self):
         r_mc = random_covariance(5, 11)
-        spec = est.EstimatorSpec(np.zeros((5, 5)), rho=1.0)
+        spec = est.mmse_filter(psd_clamp(np.zeros((5, 5))), rho=1.0)
         assert np.allclose(est.error_covariance(spec, r_mc), r_mc.entries)
 
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0])
@@ -114,27 +116,29 @@ class TestEigenExpansion:
         r_hat = random_covariance(m, 200 + seed, rank=5)
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
         # a matched prior, a mismatched one and LS
-        for prior in (r_mc, r_hat, None):
-            expansion = est.mse_eigen_expansion(prior, r_mc, rhos)
+        for filter_at in (
+            partial(est.mmse_filter, r_mc),
+            partial(est.mmse_filter, r_hat),
+            partial(est.ls_filter, m=m),
+        ):
+            expansion = est.mse_eigen_expansion(filter_at, r_mc, rhos)
             for rho, value in zip(rhos, expansion):
-                if prior is None:
-                    spec = est.ls_filter(rho, m)
-                else:
-                    spec = est.mmse_filter(prior, rho)
+                spec = filter_at(rho)
                 assert value == pytest.approx(est.analytic_mse(spec, r_mc), rel=1e-8)
 
     def test_zero_filter_gives_channel_power(self):
         # a zero prior builds the zero filter at every SNR
         r_mc = random_covariance(5, 21)
         zero = psd_clamp(np.zeros((5, 5)))
-        mse = est.mse_eigen_expansion(zero, r_mc, [0.1, 1.0, 10.0])
+        mse = est.mse_eigen_expansion(partial(est.mmse_filter, zero), r_mc, [0.1, 1.0, 10.0])
         assert mse == pytest.approx([r_mc.trace()] * 3, rel=1e-10)
 
     def test_ls_reduces_to_m_over_rho(self):
         # the LS gain 1/sqrt(rho) on every mode leaves exactly 1/rho per mode
         r_mc = random_covariance(3, 22)
         rho = 2.5
-        assert est.mse_eigen_expansion(None, r_mc, [rho]).tolist() == [3.0 / rho]
+        ls = partial(est.ls_filter, m=3)
+        assert est.mse_eigen_expansion(ls, r_mc, [rho]).tolist() == [3.0 / rho]
         assert est.analytic_mse(est.ls_filter(rho, 3), r_mc) == pytest.approx(
             3.0 / rho, rel=1e-10
         )
@@ -142,18 +146,21 @@ class TestEigenExpansion:
     def test_rejects_mismatched_size_and_bad_snr(self):
         r_mc = random_covariance(3, 23)
         with pytest.raises(ValueError):
-            est.mse_eigen_expansion(random_covariance(2, 24), r_mc, [1.0])
-        for prior in (None, r_mc):
+            est.mse_eigen_expansion(
+                partial(est.mmse_filter, random_covariance(2, 24)), r_mc, [1.0]
+            )
+        for filter_at in (partial(est.ls_filter, m=3), partial(est.mmse_filter, r_mc)):
             for bad in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(ValueError, match="positive finite pilot SNR"):
-                    est.mse_eigen_expansion(prior, r_mc, [1.0, bad])
+                    est.mse_eigen_expansion(filter_at, r_mc, [1.0, bad])
 
 
 def mismatch_beta(lambda_h: float, lambda_w: float, rho: float) -> float:
     """One mode's MSE beyond its channel power lambda_h; lambda_w is the prior's."""
     prior = psd_clamp(np.array([[lambda_w]]))
     channel = psd_clamp(np.array([[lambda_h]]))
-    return float(est.mse_eigen_expansion(prior, channel, [rho])[0]) - lambda_h
+    mse = est.mse_eigen_expansion(partial(est.mmse_filter, prior), channel, [rho])
+    return float(mse[0]) - lambda_h
 
 
 class TestMismatchedBeta:
@@ -211,14 +218,10 @@ class TestColumnSpaceVerification:
         with pytest.raises(ValueError):
             est.verify_column_space(spec, np.eye(4))
 
-    def test_rejects_spec_without_stored_spectrum(self):
-        # the column space is read from the stored spectrum, never from W
-        for spec in (
-            est.ls_filter(1.0, 2),
-            est.EstimatorSpec(np.eye(2), rho=1.0, basis=np.eye(2)),
-        ):
-            with pytest.raises(ValueError, match="no stored spectrum"):
-                est.verify_column_space(spec, np.eye(2))
+    def test_least_squares_spans_the_whole_space(self):
+        spec = est.ls_filter(2.0, 3)
+        assert est.verify_column_space(spec, np.eye(3)) == 0.0
+        assert est.verify_column_space(spec, np.eye(3)[:, :2]) > 0.9
 
 
 class TestOptimality:

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -177,30 +178,29 @@ class TestRunSweepAnalytic:
         config, result = analytic_sweep
         channel = build_channel(config)
 
-        def not_built(*args, **kwargs):
-            raise AssertionError("an analytic-only sweep built a filter")
+        def not_built(spec):
+            raise AssertionError("an analytic-only sweep formed a dense filter")
 
-        monkeypatch.setattr(est, "mmse_filter", not_built)
-        monkeypatch.setattr(est, "ls_filter", not_built)
+        monkeypatch.setattr(est.EstimatorSpec, "filter", property(not_built))
         assert run_sweep(config, channel).rows == result.rows
 
     def test_one_projection_per_distinct_prior(self, analytic_sweep, monkeypatch):
         # isotropic: the coupling-aware prior is r_mc itself, so mmse_true and
-        # mmse_coupling_aware_iso share one projection; LS has no prior
+        # mmse_coupling_aware_iso share one projection; LS's is the identity's
         config, result = analytic_sweep
         channel = build_channel(config)
         assert channel.r_hat_aware is channel.r_mc
         expansion = est.mse_eigen_expansion
-        priors = []
+        filters = []
 
-        def logged(prior, r_mc, rhos):
-            priors.append(prior)
-            return expansion(prior, r_mc, rhos)
+        def logged(filter_at, r_mc, rhos):
+            filters.append(filter_at)
+            return expansion(filter_at, r_mc, rhos)
 
         monkeypatch.setattr(est, "mse_eigen_expansion", logged)
         assert run_sweep(config, channel).rows == result.rows
-        projected = [p for p in priors if p is not None]
-        assert len(projected) == len({id(p) for p in projected}) == 2
+        projected = [f for f in filters if f is not channel.estimator(est.LS)]
+        assert len(projected) == len({id(f) for f in projected}) == 2
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +296,29 @@ class TestMonteCarloDeviation:
         assert experiments.SweepRow("ls", 0.0, 2.0, 0.0).mc_deviation_se is None
 
 
+class TestMonteCarloSpread:
+    def test_stderr_matches_error_covariance(self, geom_4x4, mc_result):
+        # A trial's error e is CN(0, E), E the dense error covariance, so its
+        # squared norm X is a sum of unit exponentials weighted by mu = eig E,
+        # with cumulants kappa_n = (n - 1)! sum mu^n: Var X = kappa_2 =
+        # ||E||_F^2.  mc_stderr is sqrt(s^2 / T), s^2 the sample variance of T
+        # trials, with Var s^2 = kappa_4 / T + 2 kappa_2^2 / (T - 1).  So
+        # mc_stderr / sqrt(kappa_2 / T) = sqrt(s^2 / kappa_2) has, to first
+        # order, the standard deviation sqrt(Var s^2) / (2 kappa_2); the gate
+        # is 3 of it.
+        channel = build_channel(SweepConfig(geometry=geom_4x4, mc_trials=0))
+        trials = 4000
+        for row in mc_result.rows:
+            rho = 10.0 ** (row.snr_db / 10.0)
+            spec = channel.estimator(row.estimator)(rho)
+            mu = np.linalg.eigvalsh(est.error_covariance(spec, channel.r_mc))
+            kappa_2, kappa_4 = np.sum(mu**2), 6.0 * np.sum(mu**4)
+            ratio = row.mc_stderr / math.sqrt(kappa_2 / trials)
+            var_s2 = kappa_4 / trials + 2.0 * kappa_2**2 / (trials - 1)
+            sd = math.sqrt(var_s2) / (2.0 * kappa_2)
+            assert abs(ratio - 1.0) <= 3.0 * sd, (row.estimator, row.snr_db, ratio, sd)
+
+
 def _mc_cell_reference(filters, r_mc_sqrt, rho, snr_index, trials, base_seed):
     """The column-at-a-time loop: two complex_normal calls per trial."""
     m = r_mc_sqrt.shape[0]
@@ -332,21 +355,20 @@ class TestMonteCarloCell:
         )
         channel = build_channel(config)
         rho = 10.0 ** 0.5
-        # keyed by prior, as run_sweep passes them: the LS filter under None
-        # takes the scalar path
-        priors = channel.priors(est.ESTIMATOR_KINDS)
-        assert None in priors
-        filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
-        args = (filters, psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
+        # keyed by filter function, as run_sweep passes them: the LS filter
+        # takes the scalar path, the reference its dense W
+        specs = {f: f(rho) for f in channel.estimators(est.ESTIMATOR_KINDS)}
+        assert channel.estimator(est.LS) in specs
+        dense = {f: spec.filter for f, spec in specs.items()}
+        rest = (psd_sqrt(channel.r_mc), rho, 2, 4000, 7)
         assert 4000 % experiments._MC_BLOCK != 0
-        assert experiments._mc_cell(*args) == _mc_cell_reference(*args)
+        assert experiments._mc_cell(specs, *rest) == _mc_cell_reference(dense, *rest)
 
     def test_peak_memory_is_one_block(self):
         config = SweepConfig(geometry=UpaGeometry(10, 10, d_y=0.2, d_z=0.2), mc_trials=0)
         channel = build_channel(config)
         rho = 10.0
-        priors = channel.priors(est.ESTIMATOR_KINDS)
-        filters = {prior: channel.estimator(prior, rho).filter for prior in priors}
+        filters = {f: f(rho) for f in channel.estimators(est.ESTIMATOR_KINDS)}
         r_mc_sqrt = psd_sqrt(channel.r_mc)
         m, block = r_mc_sqrt.shape[0], experiments._MC_BLOCK
         complex_size, real_size = 16, 8
@@ -357,7 +379,8 @@ class TestMonteCarloCell:
         # the complex copy matmul makes of a real M x M operand, and each
         # trial's key words (under 150 bytes of arrays) and their Python ints
         transient = 2 * real_size * block + complex_size * m * m + 512 * block
-        # a first call imports numpy.random's modules, which is not a block's cost
+        # a first call imports numpy.random's modules and forms each dense W,
+        # which is not a block's cost
         experiments._mc_cell(filters, r_mc_sqrt, rho, 0, 100, 7)
         tracemalloc.start()
         try:
@@ -434,10 +457,19 @@ class TestBuildChannel:
         channel = build_channel(SweepConfig(geometry=geom_4x4, mc_trials=0))
         assert channel.r_base is channel.r_iso
         assert channel.r_hat_aware is channel.r_mc
-        assert channel.prior(est.MMSE_TRUE) is channel.r_mc
-        assert channel.prior(est.MMSE_COUPLING_AWARE_ISO) is channel.r_hat_aware
-        assert channel.prior(est.MMSE_ISO) is channel.r_iso
-        assert channel.prior(est.LS) is None
+        rho = 2.0
+        for kind, prior in (
+            (est.MMSE_TRUE, channel.r_mc),
+            (est.MMSE_COUPLING_AWARE_ISO, channel.r_hat_aware),
+            (est.MMSE_ISO, channel.r_iso),
+        ):
+            spec = channel.estimator(kind)(rho)
+            assert np.array_equal(spec.filter, est.mmse_filter(prior, rho).filter)
+        spec = channel.estimator(est.LS)(rho)
+        assert np.array_equal(spec.filter, est.ls_filter(rho, geom_4x4.size).filter)
+        aware = channel.estimator(est.MMSE_COUPLING_AWARE_ISO)
+        assert channel.estimator(est.MMSE_TRUE) is aware
+        assert len(channel.estimators(est.ESTIMATOR_KINDS)) == 3
 
     def test_cluster_aware_prior_is_coupled_isotropic(self, geom_2x2):
         scenario = default_cluster_scenario(3)
@@ -469,8 +501,7 @@ class TestBuildChannel:
         monkeypatch.undo()
         for row in result.rows:
             rho = 10.0 ** (row.snr_db / 10.0)
-            prior = channel.prior(row.estimator)
-            expected = oracle(channel.estimator(prior, rho), channel.r_mc)
+            expected = oracle(channel.estimator(row.estimator)(rho), channel.r_mc)
             assert row.analytic_mse == pytest.approx(expected, rel=1e-12)
 
     def test_channel_from_other_config_rejected(self, geom_4x4, geom_4x4_quarter):
@@ -512,3 +543,147 @@ class TestClusterSweep:
         assert np.all(gaps[est.MMSE_ISO] >= -1e-9)
         # coupling-aware prior can never beat the true one
         assert np.all(gaps[est.MMSE_COUPLING_AWARE_ISO] >= -1e-9)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@pytest.fixture(scope="module")
+def high_snr_channels(channel_iso_10x10, geom_10x10):
+    """The default 10x10 isotropic channel and the 10x10 cluster channel of seed 1."""
+    config = SweepConfig(geom_10x10, default_cluster_scenario(1), mc_trials=0)
+    return {"isotropic": channel_iso_10x10, "cluster_seed1": build_channel(config)}
+
+
+def _complement_power(prior, r_mc) -> tuple[float, float]:
+    """||(I - P) F||_F^2 for P the projector onto the prior's kept modes and
+    F = V Lam^(1/2) R_mc's thin factor, read through the prior's complementary
+    eigenvectors W: sum_j lam_j ||W^H v_j||^2, and a bound on its roundoff.
+
+    The entries of W^H v_j, sums of M products, err by at most (M + 2) eps
+    (|W|^H |v_j|)_i, at most (M + 2) eps sqrt(n) over the n = M - k columns of
+    W; eigh's [U W] is orthonormal only to about M eps, which moves
+    W^H v_j itself by up to M eps.  With delta = ((M + 2) sqrt(n) + M) eps,
+    each ||W^H v_j||^2 errs by at most delta (2 ||(W^H v_j)^|| + 3 delta), and
+    the sums of squares add (M + r) eps of the total.
+    """
+    m = r_mc.size
+    kept = int(np.count_nonzero(prior.eig.values))
+    lam = r_mc.eig.values[: int(np.count_nonzero(r_mc.eig.values))]
+    vectors = r_mc.eig.basis[:, : lam.size]
+    outside = np.sum(np.abs(prior.eig.basis[:, kept:].conj().T @ vectors) ** 2, axis=0)
+    power = float(outside @ lam)
+    delta = ((m + 2) * math.sqrt(m - kept) + m) * _EPS
+    rounding = delta * float((2.0 * np.sqrt(outside) + 3.0 * delta) @ lam)
+    return power, rounding + (m + lam.size) * _EPS * power
+
+
+class TestHighSnrAsymptote:
+    """MSE(rho) = ||(I - P) F||_F^2 + k / rho + O(rho^-2) for the MMSE filter of a
+    prior with k kept modes lam_1 >= ... >= lam_k > 0, once rho lam_k >> 1.
+
+    With b_i = ||B_i||^2 and s_i = 1 / (rho lam_i + 1), the route's terms are
+    sum_i b_i s_i^2, sum_i g_i^2 = sum_i (1 - s_i)^2 / rho and the residual,
+    so MSE - residual - k / rho = sum_i b_i s_i^2 - sum_i (2 s_i - s_i^2) / rho,
+    at most sum_i (b_i / lam_i^2 + 2 / lam_i) / rho^2 in size (s_i <= 1 /
+    (rho lam_i)): the remainder bound.  The tolerance adds the residual's
+    roundoff floor, (k + 8) eps of the MSE for the per-SNR sums, the first
+    term's roundoff (each b_i errs by at most 2 (M + 2) eps sqrt(k) tr R_mc
+    to first order, times s_i^2) and the roundoff of the independently
+    computed residual.
+    """
+
+    SNR_STEPS = (1e4, 1e6, 1e8)  # rho lam_k at the three points
+
+    @staticmethod
+    def _priors(channel):
+        return {id(p): p for p in (channel.r_mc, channel.r_hat_aware, channel.r_iso)}.values()
+
+    @pytest.mark.parametrize("name", ["isotropic", "cluster_seed1"])
+    def test_mmse_tends_to_residual_plus_rank_over_rho(self, high_snr_channels, name):
+        channel = high_snr_channels[name]
+        r_mc = channel.r_mc
+        m, trace = r_mc.size, r_mc.trace()
+        lam_mc = r_mc.eig.values[: int(np.count_nonzero(r_mc.eig.values))]
+        vectors = r_mc.eig.basis[:, : lam_mc.size]
+        for prior in self._priors(channel):
+            kept = int(np.count_nonzero(prior.eig.values))
+            lam = prior.eig.values[:kept]
+            b = np.abs(prior.eig.basis[:, :kept].conj().T @ vectors) ** 2 @ lam_mc
+            residual, residual_rounding = _complement_power(prior, r_mc)
+            rhos = [step / lam[-1] for step in self.SNR_STEPS]
+            filter_at = partial(est.mmse_filter, prior)
+            mse = est.mse_eigen_expansion(filter_at, r_mc, rhos)
+            for rho, value in zip(rhos, mse.tolist()):
+                floor = filter_at(rho).project(vectors, lam_mc)[2]
+                remainder = float(np.sum(b / lam**2 + 2.0 / lam)) / rho**2
+                first_term = 2.0 * (m + 2) * _EPS * math.sqrt(kept) * trace
+                first_term /= (rho * lam[-1]) ** 2
+                tol = (
+                    remainder
+                    + floor
+                    + (kept + 8.0) * _EPS * value
+                    + first_term
+                    + residual_rounding
+                )
+                expected = residual + kept / rho
+                assert abs(value - expected) <= tol, (name, kept, rho, value, expected, tol)
+                assert tol < 1e-3 * value
+
+    @pytest.mark.parametrize("name", ["isotropic", "cluster_seed1"])
+    def test_ls_gap_tends_to_rank_ratio(self, high_snr_channels, name):
+        # LS is M / rho exactly; the matched prior leaves no residual, so its
+        # MSE is k / rho (1 + eta), |eta| <= tol / (k / rho) with tol the bound
+        # of the test above, and the gap is 10 log10(M / k) - 10 log10(1 + eta)
+        channel = high_snr_channels[name]
+        r_mc = channel.r_mc
+        m, trace = r_mc.size, r_mc.trace()
+        lam = r_mc.eig.values[: int(np.count_nonzero(r_mc.eig.values))]
+        vectors = r_mc.eig.basis[:, : lam.size]
+        rhos = [step / lam[-1] for step in self.SNR_STEPS]
+        ls = est.mse_eigen_expansion(channel.estimator(est.LS), r_mc, rhos)
+        true = est.mse_eigen_expansion(channel.estimator(est.MMSE_TRUE), r_mc, rhos)
+        assert ls.tolist() == [m / rho for rho in rhos]
+        for rho, value in zip(rhos, true.tolist()):
+            floor = channel.estimator(est.MMSE_TRUE)(rho).project(vectors, lam)[2]
+            tol = (
+                3.0 * float(np.sum(1.0 / lam)) / rho**2
+                + floor
+                + (lam.size + 8.0) * _EPS * value
+                + 2.0 * (m + 2) * _EPS * math.sqrt(lam.size) * trace / (rho * lam[-1]) ** 2
+            )
+            eta = tol / (lam.size / rho)
+            gap = 10.0 * math.log10(m / rho / value)
+            limit = 10.0 * math.log10(m / lam.size)
+            assert abs(gap - limit) <= -10.0 * math.log10(1.0 - eta), (name, rho, gap, limit)
+
+    @pytest.mark.parametrize("name", ["isotropic", "cluster_seed1"])
+    def test_matched_prior_closed_form_at_120_to_200_db(self, high_snr_channels, name):
+        # sum lam / (rho lam + 1) against the route: b_i = lam_i (1 + 2 (M + 2)
+        # eps) to first order for the matched prior, whose kept modes are R_mc's
+        # own, so the first term errs by 2 (M + 2) eps of the MSE; the sums
+        # and the closed form's own (k + 3) eps add (2 k + 16) eps more
+        channel = high_snr_channels[name]
+        r_mc = channel.r_mc
+        m = r_mc.size
+        lam = r_mc.eig.values[: int(np.count_nonzero(r_mc.eig.values))]
+        vectors = r_mc.eig.basis[:, : lam.size]
+        filter_at = channel.estimator(est.MMSE_TRUE)
+        rhos = [10.0 ** (snr_db / 10.0) for snr_db in (120.0, 160.0, 200.0)]
+        mse = est.mse_eigen_expansion(filter_at, r_mc, rhos)
+        for rho, value in zip(rhos, mse.tolist()):
+            closed = float(np.sum(lam / (rho * lam + 1.0)))
+            floor = filter_at(rho).project(vectors, lam)[2]
+            tol = floor + (2.0 * (m + 2) + 2.0 * lam.size + 16.0) * _EPS * closed
+            assert abs(value - closed) <= tol, (name, rho, value, closed, tol)
+
+    @pytest.mark.parametrize("name", ["isotropic", "cluster_seed1"])
+    def test_no_analytic_mse_is_negative(self, high_snr_channels, name):
+        # across the pilot-SNR domain: every term is nonnegative, and a point
+        # not above its roundoff floor is NaN, never a rounded value
+        channel = high_snr_channels[name]
+        rhos = [experiments.pilot_snr(snr_db) for snr_db in range(-3200, 3081, 40)]
+        with np.errstate(over="ignore"):
+            for filter_at in channel.estimators(est.ESTIMATOR_KINDS):
+                mse = est.mse_eigen_expansion(filter_at, channel.r_mc, rhos)
+                assert not np.any(mse <= 0.0)

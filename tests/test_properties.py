@@ -24,7 +24,7 @@ from holoest.correlation import (
     iso_entry,
     iso_matrix,
 )
-from holoest.estimation import ESTIMATOR_KINDS, MMSE_TRUE, mse_eigen_expansion
+from holoest.estimation import ESTIMATOR_KINDS, LS, MMSE_TRUE, mse_eigen_expansion
 from holoest.experiments import SweepConfig, build_channel, default_cluster_scenario, pilot_snr
 from holoest.geometry import UpaGeometry, element_positions, unsigned_offsets
 from holoest.linalg import _CLAMP_TOL
@@ -230,11 +230,19 @@ def test_coupling_normalization_preserves_the_isotropic_trace(geometry):
 def _expansion_rounding(m: int, r_mc, mse: np.ndarray) -> np.ndarray:
     """Bound on the roundoff of ``mse_eigen_expansion`` against R_mc.
 
-    b_i = u_i^H R u_i is a sum of M products: it errs by at most
-    M eps |u_i|^T |R| |u_i|, and over all i by M eps sum_jk |R_jk| <= M^2 eps
-    tr R (|R_jk| <= sqrt(R_jj R_kk); the weights s_i^2 are at most 1).  Each
-    term b s^2 + g^2 takes at most 8 roundings and the sum of M terms M more,
-    relative to the MSE.
+    Per column v_j of R_mc's kept eigenbasis (weight lam_j) the route forms
+    B_j = U^H v_j and D_j = v_j - U B_j, with ||B_j||^2 + ||D_j||^2 = 1 and U
+    of k <= M columns.  B_j's entries, sums of M products, err by at most
+    M u (|U|^H |v_j|)_i (u = eps / 2), at most M u sqrt(k) over the modes
+    (Cauchy-Schwarz; U's columns have unit norm), so sum_i s_i^2 |B_ij|^2
+    (s_i <= 1) errs by at most 2 M u sqrt(k) ||B_j||.  D_j is orthogonal to
+    span U, so that error moves ||D_j||^2 only at second order; U B_j's sums
+    of k products move it by at most 2 k u sqrt(k) ||B_j|| ||D_j|| and the
+    subtraction by 2 u ||D_j||^2.  That is at most 2 u (sqrt(k) (M + k / 2)
+    + 1) <= M^2 eps for k < M, and 2 u M^1.5 <= M^2 eps for k = M, where
+    D_j = 0; weighted by lam_j, M^2 eps tr R.  The per-SNR sums of k terms,
+    the weighted sums and complex products' extra roundings are relative to
+    the MSE: (M + 8) eps of it.
     """
     return m * m * EPS * r_mc.trace() + (m + 8.0) * EPS * mse
 
@@ -246,7 +254,9 @@ def test_analytic_mse_is_least_for_the_true_prior_and_falls_with_snr(geometry, s
     channel = build_channel(SweepConfig(geometry, scenario, snr_grid_db=snr_db, mc_trials=0))
     m, r_mc = geometry.size, channel.r_mc
     rhos = np.array([pilot_snr(x) for x in snr_db])
-    mse = {kind: mse_eigen_expansion(channel.prior(kind), r_mc, rhos) for kind in ESTIMATOR_KINDS}
+    mse = {
+        kind: mse_eigen_expansion(channel.estimator(kind), r_mc, rhos) for kind in ESTIMATOR_KINDS
+    }
     rounding = {kind: _expansion_rounding(m, r_mc, value) for kind, value in mse.items()}
     # The true prior's filter is the linear MMSE one, so every other filter's
     # MSE is at least its own.  Computed, each route is the exact MSE of the
@@ -264,6 +274,6 @@ def test_analytic_mse_is_least_for_the_true_prior_and_falls_with_snr(geometry, s
     # step is at least 0.1 dB; a fall larger than both values' roundoff is a
     # strict fall of the exact MSE.
     for kind in ESTIMATOR_KINDS:
-        if channel.prior(kind) in (r_mc, None):
+        if channel.estimator(kind) in (channel.estimator(MMSE_TRUE), channel.estimator(LS)):
             fall = mse[kind][:-1] - mse[kind][1:]
             assert np.all(fall > rounding[kind][:-1] + rounding[kind][1:]), kind

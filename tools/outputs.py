@@ -73,6 +73,9 @@ INVOCATIONS: dict[str, tuple[str, list[str]]] = {
         for n in (8, 16, 20)
     },
     "sweep_32x32_2wl": (_square(32, 2.0) + _ANALYTIC, ["sweep", "--out", "out"]),
+    "sweep_high_snr": (
+        _square(10) + _ANALYTIC + "sweep.snr_db = 100:20:200\n", ["sweep", "--out", "out"]
+    ),
     "print_config": ("", ["--print-config"]),
 }
 
